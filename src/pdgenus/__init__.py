@@ -18,6 +18,7 @@ from .diagrams import (
     OddLengthError,
     UnknownChordError,
     caravan,
+    class_table,
     enumerate_diagrams,
     from_map,
     partial_dual_diagram,
@@ -35,7 +36,6 @@ from .maps import (
 )
 from .polynomials import IntPolynomial, RationalMatrix, solve_in_span
 from .weight_system import (
-    FourTermQuadruple,
     GenusPolynomialResult,
     NoSolutionError,
     NotABasisError,
@@ -58,7 +58,6 @@ __all__ = [
     "EdgeOutOfRangeError",
     "EmptyCaravanError",
     "FixedPointError",
-    "FourTermQuadruple",
     "GenusPolynomialResult",
     "IntPolynomial",
     "InterlaceSequence",
@@ -77,6 +76,7 @@ __all__ = [
     "check_4T",
     "check_intersection_graph_invariance",
     "check_multiplicativity",
+    "class_table",
     "dim_quotient",
     "enumerate_diagrams",
     "express_modulo_4T",

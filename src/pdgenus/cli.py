@@ -80,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check4t", help="verify the four-term relation exhaustively")
     p.add_argument("n", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes evaluating the polynomial, at most one per CPU",
+    )
 
     p = add_parser("dims", help="dimension of diagrams modulo four-term relations")
     p.add_argument("n", type=int)

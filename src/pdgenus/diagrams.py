@@ -102,12 +102,10 @@ class ChordDiagram:
     def canonical(self) -> ChordDiagram:
         """Relabel by first occurrence and take the lex-least of all rotations."""
         if self._canonical_word is None:
-            self._canonical_word = _canonical_word(self.word)
+            self._canonical_word = min(_rotations(self.word))
         if self._canonical_word == self.word:
             return self
-        result = ChordDiagram(self._canonical_word)
-        result._canonical_word = result.word
-        return result
+        return _canonical_diagram(self._canonical_word)
 
     def is_canonical(self) -> bool:
         return self.canonical().word == self.word
@@ -221,25 +219,22 @@ class ChordDiagram:
         return factors
 
 
-@lru_cache(maxsize=None)
-def _canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    n2 = len(word)
-    if n2 == 0:
-        return ()
-    best: tuple[int, ...] | None = None
-    doubled = word + word
-    for start in range(n2):
-        relabel: dict[int, int] = {}
-        out = []
-        for i in range(start, start + n2):
-            label = doubled[i]
-            if label not in relabel:
-                relabel[label] = len(relabel) + 1
-            out.append(relabel[label])
-        candidate = tuple(out)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+def normalize_labels(word: Sequence[int]) -> tuple[int, ...]:
+    """Relabel a word by first occurrence: 1, 2, 3, ... in reading order."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(label, len(relabel) + 1) for label in word])
+
+
+def _rotations(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The first-occurrence-normalized forms of every rotation of a word."""
+    return [normalize_labels(word[s:] + word[:s]) for s in range(len(word))] or [()]
+
+
+def _canonical_diagram(word: tuple[int, ...]) -> ChordDiagram:
+    """A diagram whose word is known to be canonical."""
+    diagram = ChordDiagram(word)
+    diagram._canonical_word = diagram.word
+    return diagram
 
 
 @dataclass(frozen=True)
@@ -441,20 +436,54 @@ def _matchings(points: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def enumerate_diagrams(n: int) -> tuple[ChordDiagram, ...]:
-    """All chord diagrams of order n, canonical and sorted.
+def _classes(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+    """The class table of order n and the canonical word of each class id.
 
-    Enumerates the fixed-point-free involutions on 2n points and
-    deduplicates by canonical form.  Desk scale is n <= 7.
+    Walks the fixed-point-free involutions on 2n points.  Labelling the
+    chords in the order the walk pairs them gives words that are already
+    normalized by first occurrence.  A word not yet in the table starts a
+    new class: all its normalized rotations join it, and their minimum is
+    its canonical word.  Ids are then renumbered in canonical-word order.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n == 0:
-        return (ChordDiagram(()),)
-    words: set[tuple[int, ...]] = set()
+    table: dict[tuple[int, ...], int] = {}
+    canonical: list[tuple[int, ...]] = []
     for matching in _matchings(tuple(range(2 * n))):
-        word = [0] * (2 * n)
+        cells = [0] * (2 * n)
         for label, (a, b) in enumerate(matching, start=1):
-            word[a] = word[b] = label
-        words.add(_canonical_word(tuple(word)))
-    return tuple(ChordDiagram(w) for w in sorted(words))
+            cells[a] = cells[b] = label
+        word = tuple(cells)
+        if word in table:
+            continue
+        rotations = _rotations(word)
+        for rotation in rotations:
+            table[rotation] = len(canonical)
+        canonical.append(min(rotations))
+    order = sorted(range(len(canonical)), key=canonical.__getitem__)
+    renumber = [0] * len(order)
+    for new, old in enumerate(order):
+        renumber[old] = new
+    for word, old in table.items():
+        table[word] = renumber[old]
+    return table, tuple(canonical[old] for old in order)
+
+
+def class_table(n: int) -> dict[tuple[int, ...], int]:
+    """Class id of every first-occurrence-normalized word of order n.
+
+    The table has one entry per matching of 2n points, (2n-1)!! in all.
+    Class ids index ``enumerate_diagrams(n)``, so they are ordered by
+    canonical word.  The dict is shared by every caller: do not mutate it.
+    """
+    return _classes(n)[0]
+
+
+@lru_cache(maxsize=None)
+def enumerate_diagrams(n: int) -> tuple[ChordDiagram, ...]:
+    """All chord diagrams of order n, canonical and sorted.
+
+    The i-th diagram is the class with id i in ``class_table(n)``.
+    Desk scale is n <= 7.
+    """
+    return tuple(_canonical_diagram(w) for w in _classes(n)[1])

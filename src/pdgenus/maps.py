@@ -83,7 +83,7 @@ def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 class CombinatorialMap:
     """An oriented ribbon graph on the half-edge set ``0..2e-1``."""
 
-    __slots__ = ("sigma", "alpha", "edge_labels", "edges", "_edge_of")
+    __slots__ = ("sigma", "alpha", "edge_labels", "edges", "_edge_of", "_vertices", "_components")
 
     def __init__(
         self,
@@ -121,6 +121,8 @@ class CombinatorialMap:
             if len(edge_labels) != len(self.edges):
                 raise SizeMismatchError("one label per edge is required")
         self.edge_labels = edge_labels
+        self._vertices: tuple[tuple[int, ...], ...] | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic counting -------------------------------------------------
 
@@ -137,7 +139,9 @@ class CombinatorialMap:
         return self._edge_of[half_edge]
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return _cycles(self.sigma)
+        if self._vertices is None:
+            self._vertices = _cycles(self.sigma)
+        return self._vertices
 
     def boundary_components(self) -> tuple[tuple[int, ...], ...]:
         comp = tuple(self.sigma[a] for a in self.alpha)
@@ -145,6 +149,11 @@ class CombinatorialMap:
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the group generated by sigma and alpha, sorted by minimum."""
+        if self._components is None:
+            self._components = self._find_components()
+        return self._components
+
+    def _find_components(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.sigma)
         seen = [False] * n
         comps = []
@@ -236,7 +245,7 @@ class CombinatorialMap:
         mask = self.subset_mask(subset)
         sigma, alpha, edge_of = self.sigma, self.alpha, self._edge_of
         n = len(sigma)
-        in_subset = [bool(mask >> edge_of[h] & 1) for h in range(n)]
+        in_subset = [mask >> edge & 1 for edge in edge_of]
         seen = [False] * n
         count = 0
         for start in range(n):
@@ -250,25 +259,35 @@ class CombinatorialMap:
                 while not in_subset[nxt]:
                     nxt = sigma[nxt]
                 h = nxt
-        for cyc in _cycles(self.sigma):
+        for cyc in self.vertices():
             if not any(in_subset[h] for h in cyc):
                 count += 1
         return count
 
-    def genus_of_partial_dual(self, subset: EdgeSubset | Iterable[int]) -> int:
+    def genus_of_partial_dual(
+        self,
+        subset: EdgeSubset | Iterable[int],
+        boundary_counts: Sequence[int] | None = None,
+    ) -> int:
         """Genus of the partial dual without constructing it.
 
         Uses v(G^A) = bc(A) and f(G^A) = bc(complement of A) together with
-        the invariance of e and c under partial duality.  Exhaustive
-        agreement with the explicit construction is enforced by the test
-        suite before anything relies on this path.
+        the invariance of e and c under partial duality.  A caller that
+        needs every subset passes ``boundary_counts``, the value of
+        ``spanning_boundary_count`` for every mask, and the two walks
+        become lookups.  Exhaustive agreement with the explicit
+        construction is enforced by the test suite before anything relies
+        on this path.
         """
         mask = self.subset_mask(subset)
         e = len(self.edges)
-        c = len(self.connected_components())
-        v = self.spanning_boundary_count(mask)
-        f = self.spanning_boundary_count(~mask & ((1 << e) - 1))
-        double = 2 * c - (v - e + f)
+        complement = ~mask & ((1 << e) - 1)
+        if boundary_counts is None:
+            v = self.spanning_boundary_count(mask)
+            f = self.spanning_boundary_count(complement)
+        else:
+            v, f = boundary_counts[mask], boundary_counts[complement]
+        double = 2 * len(self.connected_components()) - (v - e + f)
         assert double % 2 == 0 and double >= 0, "odd or negative Euler defect"
         return double // 2
 

@@ -12,13 +12,13 @@ connected sums, dependence only on the interlace graph).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .diagrams import ChordDiagram, enumerate_diagrams, product
+from .diagrams import ChordDiagram, class_table, enumerate_diagrams, normalize_labels, product
 from .maps import CombinatorialMap
 from .polynomials import IntPolynomial, RationalMatrix
 
@@ -37,12 +37,14 @@ class NoSolutionError(ValueError):
 def _genus_distribution(m: CombinatorialMap, explicit: bool) -> IntPolynomial:
     e = m.num_edges
     counts = [0] * (e // 2 + 2)
-    for mask in range(1 << e):
-        if explicit:
-            g = m.partial_dual(mask).genus()
-        else:
-            g = m.genus_of_partial_dual(mask)
-        counts[g] += 1
+    if explicit:
+        for mask in range(1 << e):
+            counts[m.partial_dual(mask).genus()] += 1
+    else:
+        # one boundary walk per subset serves as v for A and as f for A^c
+        bc = [m.spanning_boundary_count(mask) for mask in range(1 << e)]
+        for mask in range(1 << e):
+            counts[m.genus_of_partial_dual(mask, bc)] += 1
     return IntPolynomial(counts)
 
 
@@ -93,94 +95,76 @@ def pd_genus_report(diagram: ChordDiagram, method: str = "fast") -> GenusPolynom
 
 # -- four-term quadruples --------------------------------------------------
 
+# A quadruple (d1, d2, d3, d4) of class ids satisfies the four-term
+# relation when f(d1) - f(d2) + f(d3) - f(d4) = 0.
+SIGNS = (1, -1, 1, -1)
 
-@dataclass(frozen=True)
-class FourTermQuadruple:
-    """Four diagrams with signs +, -, +, - whose alternating sum must vanish.
 
-    The diagrams agree outside one endpoint of a moving chord, which sits
-    in the four slots adjacent to the two endpoints of a fixed chord:
-    just before the first, just after the first, just before the second,
-    just after the second.
+def _quadruples_from_word(
+    word: tuple[int, ...], table: dict[tuple[int, ...], int]
+) -> list[tuple[int, int, int, int]]:
+    """All quadruples arising from one diagram's (moving, fixed, endpoint) choices.
+
+    The four diagrams agree outside one endpoint of the moving chord,
+    which sits in the four slots adjacent to the two endpoints of the
+    fixed chord: just before the first, just after the first, just before
+    the second, just after the second.  Swapping the roles of the fixed
+    chord's endpoints permutes the quadruple as (3, 4, 1, 2), which leaves
+    the alternating sum unchanged; the lesser variant is kept.
+
+    The circle is read from the partner of the free endpoint, which then
+    carries label 1 after relabelling by first occurrence; placing the
+    free endpoint in any later slot leaves the relabelled word normalized,
+    so every placement is one table lookup.
     """
-
-    diagrams: tuple[ChordDiagram, ChordDiagram, ChordDiagram, ChordDiagram]
-
-    SIGNS = (1, -1, 1, -1)
-
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(d.word for d in self.diagrams)
-
-    def residual(self, invariant: Callable[[ChordDiagram], IntPolynomial]):
-        d1, d2, d3, d4 = self.diagrams
-        return invariant(d1) - invariant(d2) + invariant(d3) - invariant(d4)
-
-    def words(self) -> list[str]:
-        return [str(d) for d in self.diagrams]
-
-
-def _normalize_key(four: tuple) -> tuple:
-    """Quotient out the choice of which fixed-chord endpoint comes first.
-
-    Swapping the endpoint roles permutes the quadruple as (3, 4, 1, 2),
-    which leaves the alternating sum unchanged; keep the lesser variant.
-    """
-    return min(four, four[2:] + four[:2])
-
-
-def _quadruples_from_word(word: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """All quadruple keys arising from one diagram's (a, b, endpoint) choices."""
-    diagram = ChordDiagram(word)
-    labels = diagram.labels()
+    n2 = len(word)
+    partner = [0] * n2
+    first: dict[int, int] = {}
+    for i, label in enumerate(word):
+        if label in first:
+            partner[i], partner[first[label]] = first[label], i
+        else:
+            first[label] = i
     out = []
-    for moving in labels:
-        m1, m2 = diagram.endpoints(moving)
-        for fixed in labels:
-            if fixed == moving:
-                continue
-            for q in (m1, m2):
-                rest = list(word[:q]) + list(word[q + 1 :])
-                r, s = (i for i, x in enumerate(rest) if x == fixed)
-                four = []
-                for slot in (r, r + 1, s, s + 1):
-                    placed = tuple(rest[:slot] + [moving] + rest[slot:])
-                    four.append(_canonical(placed))
-                out.append(_normalize_key(tuple(four)))
+    for q in range(n2):
+        p = partner[q]
+        circle = word[p:] + word[:p]
+        free = (q - p) % n2
+        rest = normalize_labels(circle[:free] + circle[free + 1 :])
+        placed = [table[rest[:slot] + (1,) + rest[slot:]] for slot in range(n2)]
+        ends: dict[int, list[int]] = {}
+        for i in range(1, n2 - 1):
+            ends.setdefault(rest[i], []).append(i)
+        for r, s in ends.values():
+            four = (placed[r], placed[r + 1], placed[s], placed[s + 1])
+            out.append(min(four, four[2:] + four[:2]))
     return out
 
 
-def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
-    return ChordDiagram(word).canonical().word
-
-
 @lru_cache(maxsize=None)
-def generate_4T_quadruples(n: int) -> tuple[FourTermQuadruple, ...]:
-    """Every four-term quadruple on diagrams of order n, deduplicated.
+def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
 
     For each diagram, each ordered pair (moving chord, fixed chord) and
     each choice of the moving chord's free endpoint yields one quadruple;
-    duplicates are removed by the canonical forms of the four diagrams.
+    duplicates are removed by class id.  Id i is the diagram
+    ``enumerate_diagrams(n)[i]``.
     """
     if n < 2:
         raise ValueError("four-term quadruples need order >= 2")
-    keys: set[tuple[tuple[int, ...], ...]] = set()
-    for diagram in enumerate_diagrams(n):
-        keys.update(_quadruples_from_word(diagram.word))
-    return tuple(
-        FourTermQuadruple(tuple(ChordDiagram(w) for w in key))
-        for key in sorted(keys)
-    )
+    diagrams = enumerate_diagrams(n)  # builds the class table too
+    table = class_table(n)
+    keys: set[tuple[int, int, int, int]] = set()
+    for diagram in diagrams:
+        keys.update(_quadruples_from_word(diagram.word, table))
+    return tuple(sorted(keys))
 
 
-def _quadruple_chunk(words: tuple[tuple[int, ...], ...]) -> set:
-    keys: set = set()
-    for word in words:
-        keys.update(_quadruples_from_word(word))
-    return keys
-
-
-def _gamma_chunk(words: tuple[tuple[int, ...], ...]) -> dict:
-    return {w: _gamma_of_word(w).coeffs for w in words}
+def _evaluate_classes(
+    n: int, lo: int, hi: int, invariant: Callable[[ChordDiagram], IntPolynomial]
+) -> list[IntPolynomial]:
+    """The invariant on the diagrams with class ids lo..hi-1 of order n."""
+    return [invariant(d) for d in enumerate_diagrams(n)[lo:hi]]
 
 
 def check_4T(
@@ -190,41 +174,44 @@ def check_4T(
 ) -> dict:
     """Evaluate the alternating sum on every quadruple of order n.
 
-    Returns a report with the quadruple count and all nonzero residuals;
-    for the genus polynomial the expected violation count is zero.  With
-    ``threads > 1`` and the default invariant, quadruple generation and
-    polynomial evaluation are sharded over worker processes (results are
-    merged and ordered canonically, so the report is schedule-independent).
+    The invariant (by default the genus polynomial) is evaluated once per
+    diagram class, then summed over the quadruples' class ids.  Returns a
+    report with the quadruple count and all nonzero residuals; for the
+    genus polynomial the expected violation count is zero.  With
+    ``threads > 1`` the classes are split into contiguous id ranges, each
+    evaluated in a worker process, at most ``min(threads, cpu count,
+    classes)`` of them; the invariant must then be picklable.  The report
+    does not depend on the split.
     """
-    use_default = invariant is None
-    if threads > 1 and use_default:
-        words = tuple(d.word for d in enumerate_diagrams(n))
-        chunks = [words[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            key_sets = list(pool.map(_quadruple_chunk, chunks))
-            gamma_maps = list(pool.map(_gamma_chunk, chunks))
-        keys = sorted(set().union(*key_sets))
-        gamma: dict[tuple[int, ...], IntPolynomial] = {}
-        for part in gamma_maps:
-            gamma.update({w: IntPolynomial(cs) for w, cs in part.items()})
-        quadruples = tuple(
-            FourTermQuadruple(tuple(ChordDiagram(w) for w in key)) for key in keys
-        )
-
-        def evaluate(d: ChordDiagram) -> IntPolynomial:
-            return gamma[d.word]
-
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    quadruples = generate_4T_quadruples(n)
+    diagrams = enumerate_diagrams(n)
+    evaluate = pd_genus_polynomial if invariant is None else invariant
+    workers = min(threads, os.cpu_count() or 1, len(diagrams))
+    bounds = [len(diagrams) * k // workers for k in range(workers + 1)]
+    shards = [(n, lo, hi, evaluate) for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        parts = [_evaluate_classes(*shards[0])]
     else:
-        quadruples = generate_4T_quadruples(n)
-        evaluate = (lambda d: pd_genus_polynomial(d)) if use_default else invariant
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            parts = list(pool.map(_evaluate_classes, *zip(*shards)))
+    values = [value for part in parts for value in part]
 
     violations = []
     for quad in quadruples:
-        residual = quad.residual(evaluate)
+        a, b, c, d = (values[i] for i in quad)
+        residual = a - b + c - d
         if residual:
             violations.append(
-                {"quadruple": quad.words(), "residual": residual.to_json()}
+                {
+                    "quadruple": [str(diagrams[i]) for i in quad],
+                    "residual": residual.to_json(),
+                }
             )
     return {
         "n": n,
@@ -237,18 +224,14 @@ def check_4T(
 # -- the quotient by the four-term span ------------------------------------
 
 
-def _diagram_index(n: int) -> dict[tuple[int, ...], int]:
-    return {d.word: i for i, d in enumerate(enumerate_diagrams(n))}
-
-
 def quadruple_vectors(n: int) -> list[tuple[int, ...]]:
     """Distinct four-term relation vectors in the diagram basis of order n."""
-    index = _diagram_index(n)
+    size = len(enumerate_diagrams(n))
     vectors: set[tuple[int, ...]] = set()
     for quad in generate_4T_quadruples(n):
-        row = [0] * len(index)
-        for sign, d in zip(FourTermQuadruple.SIGNS, quad.diagrams):
-            row[index[d.word]] += sign
+        row = [0] * size
+        for sign, i in zip(SIGNS, quad):
+            row[i] += sign
         if any(row):
             vectors.add(tuple(row))
     return sorted(vectors)
@@ -260,9 +243,9 @@ def dim_quotient(n: int) -> int:
         return 1
     if n == 1:
         return 1
-    vectors = quadruple_vectors(n)
-    rank = RationalMatrix(vectors, num_cols=len(_diagram_index(n))).rank()
-    return len(enumerate_diagrams(n)) - rank
+    size = len(enumerate_diagrams(n))
+    rank = RationalMatrix(quadruple_vectors(n), num_cols=size).rank()
+    return size - rank
 
 
 def express_modulo_4T(
@@ -276,13 +259,13 @@ def express_modulo_4T(
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
-    index = _diagram_index(n)
-    size = len(index)
+    size = len(enumerate_diagrams(n))
+    index = class_table(n)
     relation_rows = quadruple_vectors(n)
     basis_cols = []
     for b in basis:
         col = [0] * size
-        col[index[b.canonical().word]] += 1
+        col[index[normalize_labels(b.word)]] += 1
         basis_cols.append(col)
 
     rank_relations = RationalMatrix(relation_rows, num_cols=size).rank()
@@ -293,7 +276,7 @@ def express_modulo_4T(
         raise NotABasisError("basis is dependent modulo the four-term relations")
 
     target = [0] * size
-    target[index[diagram.canonical().word]] = 1
+    target[index[normalize_labels(diagram.word)]] = 1
     matrix = RationalMatrix.from_columns(basis_cols + [list(r) for r in relation_rows])
     solution = matrix.solve(target)
     if solution is None:

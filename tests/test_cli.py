@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from pdgenus.cli import main
 
@@ -38,6 +41,12 @@ class TestChecks:
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary == {"n": 3, "quadruples": 6, "violations": 0}
+
+    def test_check4t_threads_below_one_exits_one(self, capsys):
+        code, out, err = run(capsys, "check4t", "3", "--threads", "0")
+        assert code == 1
+        assert out == ""
+        assert "threads" in err
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "4")
@@ -143,3 +152,23 @@ class TestUsageErrors:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "poly")[0] == 1
+
+
+class TestReportDigests:
+    """The JSON reports stay byte-identical to the ones recorded for them."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("check4t 2", "e62148fb6a17389d8178b64111514ae1fcf42be7eed037aaef759d82a45b61c2"),
+            ("check4t 3", "debf245f208d7fec3a55189de732ff053bd72803e85b046d73decc93283bdc3f"),
+            ("check4t 4", "9433cff5184f557ffa3bf5d971137b69329ab2d24f58b8b74daf5ada705eabfc"),
+            ("check4t 5", "5d18589ee7e7fa3b0d44544b47abd06eeb3e960328c8b675573b08d32b194238"),
+            ("dims 5", "183a88b2bcc261705791461184d2eb1ad9ccf1c2b1b2cc114c97cf0a43c77044"),
+            ("table", "7e791abea2a52e9b1b5b3c682cbfb699156411774fe222140111cc359b9b9ae3"),
+        ],
+    )
+    def test_json_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "--json", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ from pdgenus.diagrams import (
     UnknownChordError,
     _matchings,
     caravan,
+    class_table,
     enumerate_diagrams,
     from_map,
     partial_dual_diagram,
@@ -109,6 +110,40 @@ class TestEnumeration:
 
     def test_burnside_at_order_five(self):
         assert len(enumerate_diagrams(5)) == _burnside_count(5) == 105
+
+
+def _matching_word(matching, n):
+    word = [0] * (2 * n)
+    for label, (a, b) in enumerate(matching, start=1):
+        word[a] = word[b] = label
+    return tuple(word)
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("n, matchings", [(0, 1), (1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
+    def test_one_entry_per_matching(self, n, matchings):
+        assert len(class_table(n)) == matchings
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ids_index_the_rotation_search_canonical_forms(self, n):
+        # ChordDiagram.canonical() searches all rotations: an independent oracle
+        position = {d.word: i for i, d in enumerate(enumerate_diagrams(n))}
+        table = class_table(n)
+        for matching in _matchings(tuple(range(2 * n))):
+            word = _matching_word(matching, n)
+            assert table[word] == position[ChordDiagram(word).canonical().word]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ids_ordered_by_canonical_word(self, n):
+        table = class_table(n)
+        canonical = [d.word for d in enumerate_diagrams(n)]
+        assert canonical == sorted(canonical)
+        assert [table[w] for w in canonical] == list(range(len(canonical)))
+
+    def test_enumerated_diagrams_need_no_rotation_search(self):
+        d = enumerate_diagrams(4)[7]
+        assert d._canonical_word == d.word
+        assert d.canonical() is d
 
 
 class TestMapConversion:

@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,17 +162,21 @@ class TestQuadruples:
         assert matrix.rank() == 2
 
     def test_degenerate_quadruples_cancel(self):
-        quads = generate_4T_quadruples(2)
-        for quad in quads:
-            d1, d2, d3, d4 = quad.diagrams
+        diagrams = enumerate_diagrams(2)
+        for quad in generate_4T_quadruples(2):
+            d1, d2, d3, d4 = (diagrams[i] for i in quad)
             if d1 == d2 and d3 == d4:
-                assert quad.residual(pd_genus_polynomial) == IntPolynomial.zero()
+                g1, g2, g3, g4 = (pd_genus_polynomial(d) for d in (d1, d2, d3, d4))
+                assert g1 - g2 + g3 - g4 == IntPolynomial.zero()
 
     def test_matches_independent_event_enumeration(self):
-        generated = {q.key() for q in generate_4T_quadruples(3)}
-        oracle = _oracle_quadruple_keys(3)
-        assert generated == oracle
-        assert len(generated) == 6
+        for n, count in ((3, 6), (4, 45)):
+            words = [d.word for d in enumerate_diagrams(n)]
+            quadruples = generate_4T_quadruples(n)
+            assert list(quadruples) == sorted(set(quadruples))
+            generated = {tuple(words[i] for i in quad) for quad in quadruples}
+            assert generated == _oracle_quadruple_keys(n)
+            assert len(generated) == len(quadruples) == count
 
     def test_order_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +193,58 @@ class TestCheck4T:
     def test_parallel_run_matches_sequential(self):
         assert check_4T(4, threads=2) == check_4T(4)
 
+    @pytest.mark.parametrize(
+        "n, threads, cpus, workers",
+        [(2, 1000, 64, 2), (4, 1000, 4, 4), (4, 3, 64, 3), (4, 8, 1, None)],
+    )
+    def test_workers_capped_by_threads_cpus_and_classes(
+        self, monkeypatch, n, threads, cpus, workers
+    ):
+        started = []
+
+        class InlinePool:  # records the pool size and runs the shards in this process
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert check_4T(n, threads=threads) == check_4T(n)
+        assert started == ([] if workers is None else [workers])
+
+    def test_import_loads_no_process_pool(self):
+        code = "import sys, pdgenus; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "False"
+
+    def test_threads_below_one_rejected_before_any_work(self):
+        calls = []
+        with pytest.raises(ValueError, match="threads"):
+            check_4T(4, invariant=calls.append, threads=0)
+        assert calls == []
+
+    def test_invariant_evaluated_once_per_class(self):
+        seen = []
+
+        def genus_polynomial(d):
+            seen.append(d.word)
+            return pd_genus_polynomial(d)
+
+        report = check_4T(4, invariant=genus_polynomial)
+        assert report["violations"] == 0
+        assert seen == [d.word for d in enumerate_diagrams(4)]
+
     def test_broken_invariant_is_reported(self):
         # indicator of an isolated chord: not a weight system
         def has_isolated_chord(d):
@@ -194,6 +254,12 @@ class TestCheck4T:
         assert report["violations"] > 0
         first = report["violations_list"][0]
         assert set(first) == {"quadruple", "residual"}
+        # the witness names the four diagrams by canonical word, in quadruple order
+        assert report["violations"] == 2
+        assert first == {
+            "quadruple": ["1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3", "1 2 1 3 2 3"],
+            "residual": {"coeffs": [1]},
+        }
 
     def test_bare_genus_passes_by_slide_pairing(self):
         # the quadruple partners differ by single edge slides, so genus
