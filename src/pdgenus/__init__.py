@@ -34,7 +34,7 @@ from .maps import (
     are_isomorphic,
     parse_map,
 )
-from .polynomials import IntPolynomial, RationalMatrix, solve_in_span
+from .polynomials import IntPolynomial, RationalMatrix
 from .weight_system import (
     GenusPolynomialResult,
     NoSolutionError,
@@ -87,5 +87,4 @@ __all__ = [
     "pd_genus_polynomial",
     "pd_genus_report",
     "product",
-    "solve_in_span",
 ]

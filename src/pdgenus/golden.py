@@ -11,7 +11,9 @@ silently patching them.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -152,11 +154,30 @@ def verify_golden_table() -> tuple[list[TableRow], list[dict]]:
     return rows, errata
 
 
+_SUM_OPS = {ast.Add: operator.add, ast.Mult: operator.mul, ast.Pow: operator.pow}
+
+
 def _parse_published_sum(text: str) -> int:
-    """Coefficient sum of a published polynomial string: its value at z = 1."""
+    """Coefficient sum of a published polynomial string: its value at z = 1.
+
+    Only integer literals joined by ``+``, ``*`` and ``^`` are accepted;
+    anything else raises ``ValueError``.
+    """
     expr = re.sub(r"(?<=[0-9)])(?=[z(])", "*", text)  # implicit products like 8z, 4(...)
     expr = expr.replace("z", "1").replace("^", "**")
-    return int(eval(expr, {"__builtins__": {}}, {}))  # shipped data only, never user input
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"not a published polynomial: {text!r}") from exc
+    return _sum_value(tree.body)
+
+
+def _sum_value(node: ast.AST) -> int:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.BinOp) and type(node.op) in _SUM_OPS:
+        return _SUM_OPS[type(node.op)](_sum_value(node.left), _sum_value(node.right))
+    raise ValueError(f"not part of a published polynomial: {ast.unparse(node)}")
 
 
 def small_golden_values() -> list[tuple[ChordDiagram, IntPolynomial]]:

@@ -1,5 +1,8 @@
+import pytest
+
 from pdgenus.diagrams import enumerate_diagrams
 from pdgenus.golden import (
+    _parse_published_sum,
     load_errata_notes,
     load_golden_table,
     small_golden_values,
@@ -76,3 +79,17 @@ def test_subscript_typos_recorded():
         (e["rows"][0], e["published"]) for e in notes if e["kind"] == "label-typo"
     }
     assert typos == {(8, "d4_2"), (15, "d4_11")}
+
+
+def test_published_sums_of_every_order_four_row():
+    for entry in load_golden_table()["order4"]:
+        text = entry["published_gamma"]
+        assert _parse_published_sum(text) == (12 if text == "4(2+z)" else 16), text
+
+
+@pytest.mark.parametrize(
+    "text", ["__import__('os')", "os.system", "().__class__", "len(z)", "True", "2-z", "1/2", "2+"]
+)
+def test_published_sum_rejects_anything_but_sums_products_and_powers(text):
+    with pytest.raises(ValueError):
+        _parse_published_sum(text)

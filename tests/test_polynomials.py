@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdgenus.polynomials import IntPolynomial, RationalMatrix, solve_in_span
+from pdgenus.polynomials import IntPolynomial, RationalMatrix
 
 
 def P(*coeffs):
@@ -82,16 +82,14 @@ class TestRationalMatrix:
         for _ in range(30):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = RationalMatrix(
-                [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-            )
-            assert m.rank() == m.transpose().rank()
+            entries = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            assert RationalMatrix(entries).rank() == RationalMatrix(zip(*entries)).rank()
 
     def test_solve_in_span(self):
         m = RationalMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
-        x = solve_in_span(m, [2, 3, 5])
+        x = m.solve([2, 3, 5])
         assert x == [Fraction(2), Fraction(3)]
-        assert solve_in_span(m, [1, 0, 0]) is None
+        assert m.solve([1, 0, 0]) is None
 
     def test_solve_column_of_matrix(self):
         m = RationalMatrix.from_columns([[1, 2], [3, 4]])
@@ -99,15 +97,66 @@ class TestRationalMatrix:
         assert x == [Fraction(0), Fraction(1)]
 
     def test_solve_residual_exactly_zero(self):
-        m = RationalMatrix([[2, 3], [5, 7]])
-        x = m.solve([1, 1])
-        for row, t in zip(m.rows, [1, 1]):
+        entries = [[2, 3], [5, 7]]
+        x = RationalMatrix(entries).solve([1, 1])
+        for row, t in zip(entries, [1, 1]):
             assert sum(r * xi for r, xi in zip(row, x)) == t
 
     def test_from_columns_shape(self):
         m = RationalMatrix.from_columns([[1, 2, 3]])
-        assert m.shape == (3, 1)
+        assert len(m.rows) == 3 and m.num_cols == 1
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [1]])
+
+
+def _oracle_rank(rows):
+    """Rank by dense Fraction elimination, independent of RationalMatrix."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_eliminator_against_rank_oracle():
+    rng = random.Random(2024)
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(1200):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            c = [rng.choice(entries) for _ in range(cols)]
+            b = [sum(x * y for x, y in zip(row, c)) for row in a]
+        else:
+            b = [rng.choice(entries) for _ in range(rows)]
+        m = RationalMatrix(a)
+        rank = _oracle_rank(a)
+        assert m.rank() == rank == RationalMatrix(zip(*a)).rank()
+
+        x = m.solve(b)
+        in_span = _oracle_rank([row + [t] for row, t in zip(a, b)]) == rank
+        assert (x is not None) == in_span
+        outcomes[in_span] += 1
+        if x is not None:
+            assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
+            prefix_ranks = [_oracle_rank([row[:j] for row in a]) for j in range(cols + 1)]
+            for j in range(cols):
+                if prefix_ranks[j + 1] == prefix_ranks[j]:
+                    assert x[j] == 0
+
+        order = rng.sample(range(rows), rows)
+        permuted = RationalMatrix([a[i] for i in order])
+        assert permuted.rank() == rank
+        assert permuted.solve([b[i] for i in order]) == x
+    assert min(outcomes.values()) > 200

@@ -285,6 +285,9 @@ class TestQuotientDimensions:
         assert rank == shuffled
         assert dim_quotient(5) == 105 - rank == 10
 
+    def test_order_six_is_bar_natans_nineteen(self):
+        assert dim_quotient(6) == 19
+
 
 class TestExpressModulo4T:
     def _basis(self):
