@@ -1,4 +1,4 @@
-"""Exact arithmetic: dense integer polynomials and rational matrices.
+"""Exact arithmetic: dense integer polynomials and sparse rational matrices.
 
 Everything in this module is exact.  Coefficient sums of the genus
 polynomials reach 2**e, so arbitrary-precision integers are mandatory and
@@ -8,7 +8,7 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class IntPolynomial:
@@ -173,35 +173,21 @@ def _clear_column(row: dict[int, Fraction], col: int, prow: dict[int, Fraction])
 
 
 class RationalMatrix:
-    """Matrix over the exact rationals.
+    """Matrix over the exact rationals, stored as sparse rows.
 
-    Rows are stored sparse, as ``{column: Fraction}`` dicts without zero
-    entries; ``rank`` and ``solve`` share one exact sparse eliminator.
+    Each row is a ``{column: Fraction}`` dict without zero entries; ``rank``,
+    ``solve`` and ``nullspace`` share one exact sparse eliminator.
     """
 
     __slots__ = ("rows", "num_cols")
 
-    def __init__(self, rows: Iterable[Sequence], num_cols: int | None = None) -> None:
-        rows = list(rows)
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ValueError("rows have unequal lengths")
-            self.num_cols = widths.pop()
-            if num_cols is not None and num_cols != self.num_cols:
-                raise ValueError("num_cols does not match the rows")
-        else:
-            self.num_cols = 0 if num_cols is None else num_cols
-        self.rows = tuple(
-            {j: f for j, x in enumerate(row) if x and (f := Fraction(x))} for row in rows
-        )
-
-    @classmethod
-    def from_columns(cls, columns: Iterable[Sequence]) -> RationalMatrix:
-        cols = [list(c) for c in columns]
-        if not cols:
-            return cls([])
-        return cls(zip(*cols))
+    def __init__(self, rows: Iterable[Mapping[int, object]], num_cols: int) -> None:
+        """Rows are ``{column: value}`` mappings; zero values are dropped."""
+        self.num_cols = num_cols
+        self.rows = tuple({j: Fraction(x) for j, x in row.items() if x} for row in rows)
+        for row in self.rows:
+            if row and (min(row) < 0 or max(row) >= num_cols):
+                raise ValueError(f"column outside range({num_cols}) in row {row}")
 
     def rank(self) -> int:
         return len(_reduced_echelon(self.rows))
@@ -224,3 +210,17 @@ class RationalMatrix:
         for col, row in pivots.items():
             x[col] = row.get(m, Fraction(0))
         return x
+
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """A basis of ``{x : self @ x = 0}``, one sparse vector per free column.
+
+        The vector of free column f is 1 at f and, at each pivot column p,
+        minus the entry at f of p's reduced row.  Vectors come in column order.
+        """
+        pivots = _reduced_echelon(self.rows)
+        vectors = {f: {f: Fraction(1)} for f in range(self.num_cols) if f not in pivots}
+        for col, row in pivots.items():
+            for j, v in row.items():
+                if j != col:  # a reduced row is nonzero only at its pivot and at free columns
+                    vectors[j][col] = -v
+        return list(vectors.values())

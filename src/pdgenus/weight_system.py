@@ -224,28 +224,28 @@ def check_4T(
 # -- the quotient by the four-term span ------------------------------------
 
 
-def quadruple_vectors(n: int) -> list[tuple[int, ...]]:
-    """Distinct four-term relation vectors in the diagram basis of order n."""
-    size = len(enumerate_diagrams(n))
-    vectors: set[tuple[int, ...]] = set()
+def quadruple_vectors(n: int) -> list[dict[int, int]]:
+    """Distinct four-term relation vectors of order n, as sparse rows ``{class id: coefficient}``.
+
+    Below order 2 there are no relations, so the list is empty.
+    """
+    if n < 2:
+        return []
+    vectors: set[tuple[tuple[int, int], ...]] = set()
     for quad in generate_4T_quadruples(n):
-        row = [0] * size
+        row: dict[int, int] = {}
         for sign, i in zip(SIGNS, quad):
-            row[i] += sign
-        if any(row):
-            vectors.add(tuple(row))
-    return sorted(vectors)
+            row[i] = row.get(i, 0) + sign
+        key = tuple(sorted((i, c) for i, c in row.items() if c))
+        if key:
+            vectors.add(key)
+    return [dict(key) for key in sorted(vectors)]
 
 
 def dim_quotient(n: int) -> int:
     """Dimension of the span of order-n diagrams modulo all four-term relations."""
-    if n == 0:
-        return 1
-    if n == 1:
-        return 1
     size = len(enumerate_diagrams(n))
-    rank = RationalMatrix(quadruple_vectors(n), num_cols=size).rank()
-    return size - rank
+    return size - RationalMatrix(quadruple_vectors(n), size).rank()
 
 
 def express_modulo_4T(
@@ -255,33 +255,27 @@ def express_modulo_4T(
 
     Solves diagram = sum(c_i * basis_i) + (four-term combination) exactly;
     any weight system f then satisfies f(diagram) = sum(c_i * f(basis_i)).
+    The order-n weight systems (the relations' nullspace) vanish exactly on
+    the relations' span, so matching their values decides the expression.
     """
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
     size = len(enumerate_diagrams(n))
     index = class_table(n)
-    relation_rows = quadruple_vectors(n)
-    basis_cols = []
-    for b in basis:
-        col = [0] * size
-        col[index[normalize_labels(b.word)]] += 1
-        basis_cols.append(col)
-
-    rank_relations = RationalMatrix(relation_rows, num_cols=size).rank()
-    rank_with_basis = RationalMatrix(
-        list(relation_rows) + basis_cols, num_cols=size
-    ).rank()
-    if rank_with_basis != rank_relations + len(basis):
+    weight_systems = RationalMatrix(quadruple_vectors(n), size).nullspace()
+    ids = [index[normalize_labels(b.word)] for b in basis]
+    values = RationalMatrix(
+        ({i: w[b] for i, b in enumerate(ids) if b in w} for w in weight_systems),
+        len(basis),
+    )
+    if values.rank() != len(basis):
         raise NotABasisError("basis is dependent modulo the four-term relations")
-
-    target = [0] * size
-    target[index[normalize_labels(diagram.word)]] = 1
-    matrix = RationalMatrix.from_columns(basis_cols + [list(r) for r in relation_rows])
-    solution = matrix.solve(target)
+    target = index[normalize_labels(diagram.word)]
+    solution = values.solve([w.get(target, 0) for w in weight_systems])
     if solution is None:
         raise NoSolutionError("target is outside the span of basis and relations")
-    return solution[: len(basis)]
+    return solution
 
 
 # -- structural property suites ---------------------------------------------

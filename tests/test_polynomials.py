@@ -64,17 +64,23 @@ class TestIntPolynomial:
         assert IntPolynomial.monomial(3) == P(0, 0, 0, 1)
 
 
+def dense(rows):
+    """A RationalMatrix from dense rows of equal length."""
+    rows = [list(row) for row in rows]
+    return RationalMatrix([dict(enumerate(row)) for row in rows], len(rows[0]))
+
+
 class TestRationalMatrix:
     def test_identity_rank(self):
-        eye = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        eye = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert eye.rank() == 3
 
     def test_zero_rank(self):
-        assert RationalMatrix([[0, 0], [0, 0]]).rank() == 0
+        assert dense([[0, 0], [0, 0]]).rank() == 0
         assert RationalMatrix([], num_cols=4).rank() == 0
 
     def test_rank_with_fractions(self):
-        m = RationalMatrix([[Fraction(1, 2), 1], [1, 2], [0, 1]])
+        m = dense([[Fraction(1, 2), 1], [1, 2], [0, 1]])
         assert m.rank() == 2
 
     def test_rank_equals_transpose_rank(self):
@@ -83,32 +89,29 @@ class TestRationalMatrix:
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
             entries = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-            assert RationalMatrix(entries).rank() == RationalMatrix(zip(*entries)).rank()
+            assert dense(entries).rank() == dense(zip(*entries)).rank()
 
     def test_solve_in_span(self):
-        m = RationalMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
+        m = dense(zip(*[[1, 0, 1], [0, 1, 1]]))
         x = m.solve([2, 3, 5])
         assert x == [Fraction(2), Fraction(3)]
         assert m.solve([1, 0, 0]) is None
 
     def test_solve_column_of_matrix(self):
-        m = RationalMatrix.from_columns([[1, 2], [3, 4]])
+        m = dense(zip(*[[1, 2], [3, 4]]))
         x = m.solve([3, 4])
         assert x == [Fraction(0), Fraction(1)]
 
     def test_solve_residual_exactly_zero(self):
         entries = [[2, 3], [5, 7]]
-        x = RationalMatrix(entries).solve([1, 1])
+        x = dense(entries).solve([1, 1])
         for row, t in zip(entries, [1, 1]):
             assert sum(r * xi for r, xi in zip(row, x)) == t
 
-    def test_from_columns_shape(self):
-        m = RationalMatrix.from_columns([[1, 2, 3]])
-        assert len(m.rows) == 3 and m.num_cols == 1
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            RationalMatrix([[1, 2], [1]])
+    def test_out_of_range_column_rejected(self):
+        for column in (-1, 2):
+            with pytest.raises(ValueError):
+                RationalMatrix([{0: 1}, {column: 1}], num_cols=2)
 
 
 def _oracle_rank(rows):
@@ -140,9 +143,18 @@ def test_eliminator_against_rank_oracle():
             b = [sum(x * y for x, y in zip(row, c)) for row in a]
         else:
             b = [rng.choice(entries) for _ in range(rows)]
-        m = RationalMatrix(a)
+        m = dense(a)
         rank = _oracle_rank(a)
-        assert m.rank() == rank == RationalMatrix(zip(*a)).rank()
+        assert m.rank() == rank == dense(zip(*a)).rank()
+        # the lex-first independent columns are the pivots, the rest are free
+        prefix_ranks = [_oracle_rank([row[:j] for row in a]) for j in range(cols + 1)]
+        free = [j for j in range(cols) if prefix_ranks[j + 1] == prefix_ranks[j]]
+
+        kernel = m.nullspace()
+        assert len(kernel) == cols - rank == len(free)
+        for f, w in zip(free, kernel):
+            assert [sum(r * w.get(j, 0) for j, r in enumerate(row)) for row in a] == [0] * rows
+            assert [w.get(g, 0) for g in free] == [int(g == f) for g in free]
 
         x = m.solve(b)
         in_span = _oracle_rank([row + [t] for row, t in zip(a, b)]) == rank
@@ -150,13 +162,11 @@ def test_eliminator_against_rank_oracle():
         outcomes[in_span] += 1
         if x is not None:
             assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
-            prefix_ranks = [_oracle_rank([row[:j] for row in a]) for j in range(cols + 1)]
-            for j in range(cols):
-                if prefix_ranks[j + 1] == prefix_ranks[j]:
-                    assert x[j] == 0
+            for j in free:
+                assert x[j] == 0
 
         order = rng.sample(range(rows), rows)
-        permuted = RationalMatrix([a[i] for i in order])
+        permuted = dense([a[i] for i in order])
         assert permuted.rank() == rank
         assert permuted.solve([b[i] for i in order]) == x
     assert min(outcomes.values()) > 200

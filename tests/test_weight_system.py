@@ -143,19 +143,32 @@ def _oracle_quadruple_keys(n):
     return keys
 
 
+def _dense_rank(rows):
+    """Rank by dense Fraction elimination, independent of RationalMatrix."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            if r[col]:
+                f = r[col] / pivot[col]
+                r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 class TestQuadruples:
     def test_classical_relations_present_at_order_three(self):
-        diagrams = [d.word for d in enumerate_diagrams(3)]
-        vectors = set(quadruple_vectors(3))
-        coincide = [0] * 5
-        coincide[diagrams.index((1, 1, 2, 2, 3, 3))] = 1
-        coincide[diagrams.index((1, 1, 2, 3, 3, 2))] = -1
-        assert tuple(coincide) in vectors or tuple(-c for c in coincide) in vectors
-        triple = [0] * 5
-        triple[diagrams.index((1, 2, 3, 1, 2, 3))] = 1
-        triple[diagrams.index((1, 2, 1, 3, 2, 3))] = -2
-        triple[diagrams.index((1, 1, 2, 3, 2, 3))] = 1
-        assert tuple(triple) in vectors or tuple(-c for c in triple) in vectors
+        ids = {d.word: i for i, d in enumerate(enumerate_diagrams(3))}
+        vectors = quadruple_vectors(3)
+        coincide = {ids[(1, 1, 2, 2, 3, 3)]: 1, ids[(1, 1, 2, 3, 3, 2)]: -1}
+        assert coincide in vectors or {i: -c for i, c in coincide.items()} in vectors
+        triple = {ids[(1, 2, 3, 1, 2, 3)]: 1, ids[(1, 2, 1, 3, 2, 3)]: -2, ids[(1, 1, 2, 3, 2, 3)]: 1}
+        assert triple in vectors or {i: -c for i, c in triple.items()} in vectors
 
     def test_rank_of_order_three_relations(self):
         matrix = RationalMatrix(quadruple_vectors(3), num_cols=5)
@@ -271,7 +284,7 @@ class TestCheck4T:
 
 class TestQuotientDimensions:
     def test_published_dimensions(self):
-        assert [dim_quotient(n) for n in (1, 2, 3, 4)] == [1, 2, 3, 6]
+        assert [dim_quotient(n) for n in (0, 1, 2, 3, 4)] == [1, 1, 2, 3, 6]
 
     def test_order_five_recorded_and_shuffle_stable(self):
         vectors = quadruple_vectors(5)
@@ -280,13 +293,17 @@ class TestQuotientDimensions:
         order = list(range(105))
         rng.shuffle(order)
         shuffled = RationalMatrix(
-            [[row[j] for j in order] for row in vectors], num_cols=105
+            [{order[j]: c for j, c in row.items()} for row in vectors], num_cols=105
         ).rank()
         assert rank == shuffled
         assert dim_quotient(5) == 105 - rank == 10
 
     def test_order_six_is_bar_natans_nineteen(self):
         assert dim_quotient(6) == 19
+
+    @pytest.mark.slow
+    def test_order_seven_is_bar_natans_thirtythree(self):
+        assert dim_quotient(7) == 33
 
 
 class TestExpressModulo4T:
@@ -331,6 +348,61 @@ class TestExpressModulo4T:
     def test_unreachable_target_rejected(self):
         with pytest.raises(NoSolutionError):
             express_modulo_4T(P("1 2 3 1 2 3"), [P("1 1 2 3 2 3")])
+
+    def test_orders_without_relations(self):
+        for word in ([], [1, 1]):
+            assert express_modulo_4T(ChordDiagram(word), [ChordDiagram(word)]) == [Fraction(1)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_against_rank_oracle(self, n):
+        words = [d.word for d in enumerate_diagrams(n)]
+        size = len(words)
+        ids = {w: i for i, w in enumerate(words)}
+
+        def unit(i):
+            return [int(j == i) for j in range(size)]
+
+        relations = []  # an independent subset spanning the same space, to keep the oracle fast
+        for key in sorted(_oracle_quadruple_keys(n)):
+            row = [0] * size
+            for sign, word in zip((1, -1, 1, -1), key):
+                row[ids[word]] += sign
+            if _dense_rank(relations + [row]) > len(relations):
+                relations.append(row)
+        rank_r = len(relations)
+
+        dim = size - rank_r
+        rng = random.Random(n)
+        outcomes = {"expressed": 0, NotABasisError: 0, NoSolutionError: 0}
+        for _ in range(120):
+            chosen = rng.sample(range(size), rng.randrange(max(dim - 2, 0), dim + 2))
+            target = rng.randrange(size)
+            # rotated words name the same classes
+            basis = []
+            for i in chosen:
+                r = rng.randrange(2 * n)
+                basis.append(ChordDiagram(words[i][r:] + words[i][:r]))
+            with_basis = relations + [unit(i) for i in chosen]
+            rank_rb = _dense_rank(with_basis)
+            try:
+                coeffs = express_modulo_4T(ChordDiagram(words[target]), basis)
+            except (NotABasisError, NoSolutionError) as exc:
+                outcome = type(exc)
+            else:
+                outcome = "expressed"
+                assert len(coeffs) == len(chosen)
+                residual = [-int(j == target) for j in range(size)]
+                for c, i in zip(coeffs, chosen):
+                    residual[i] += c
+                assert _dense_rank(relations + [residual]) == rank_r
+            if rank_rb != rank_r + len(chosen):
+                assert outcome is NotABasisError
+            elif _dense_rank(with_basis + [unit(target)]) > rank_rb:
+                assert outcome is NoSolutionError
+            else:
+                assert outcome == "expressed"
+            outcomes[outcome] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestMultiplicativity:
