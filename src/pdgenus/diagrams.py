@@ -423,43 +423,36 @@ def caravan(k: int, g: int) -> ChordDiagram:
     return ChordDiagram(word)
 
 
-def _matchings(points: tuple[int, ...]):
-    """All perfect matchings of an even point set, as tuples of pairs."""
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for i, second in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in _matchings(remaining):
-            yield ((first, second),) + tail
-
-
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
     """The class table of order n and the canonical word of each class id.
 
-    Walks the fixed-point-free involutions on 2n points.  Labelling the
-    chords in the order the walk pairs them gives words that are already
-    normalized by first occurrence.  A word not yet in the table starts a
-    new class: all its normalized rotations join it, and their minimum is
-    its canonical word.  Ids are then renumbered in canonical-word order.
+    A normalized word of order n starts with chord 1.  Deleting both ends
+    of chord 1 and lowering every other label by one leaves a normalized
+    word of order n - 1, and every such word arises: the words of order n
+    are ``(1,) + s[:j] + (1,) + s[j:]``, where s is a key of the
+    order-(n-1) table with every label raised by one and j runs over its
+    2n - 1 gaps.
+    A word not yet in the table starts a new class: all its normalized
+    rotations join it, and their minimum is its canonical word.  Ids are
+    then renumbered in canonical-word order.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
+    if n == 0:
+        return {(): 0}, ((),)
     table: dict[tuple[int, ...], int] = {}
     canonical: list[tuple[int, ...]] = []
-    for matching in _matchings(tuple(range(2 * n))):
-        cells = [0] * (2 * n)
-        for label, (a, b) in enumerate(matching, start=1):
-            cells[a] = cells[b] = label
-        word = tuple(cells)
-        if word in table:
-            continue
-        rotations = _rotations(word)
-        for rotation in rotations:
-            table[rotation] = len(canonical)
-        canonical.append(min(rotations))
+    for skeleton in _classes(n - 1)[0]:
+        s = tuple([label + 1 for label in skeleton])
+        for j in range(2 * n - 1):
+            word = (1,) + s[:j] + (1,) + s[j:]
+            if word in table:
+                continue
+            rotations = _rotations(word)
+            for rotation in rotations:
+                table[rotation] = len(canonical)
+            canonical.append(min(rotations))
     order = sorted(range(len(canonical)), key=canonical.__getitem__)
     renumber = [0] * len(order)
     for new, old in enumerate(order):

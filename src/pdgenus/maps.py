@@ -83,7 +83,9 @@ def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 class CombinatorialMap:
     """An oriented ribbon graph on the half-edge set ``0..2e-1``."""
 
-    __slots__ = ("sigma", "alpha", "edge_labels", "edges", "_edge_of", "_vertices", "_components")
+    __slots__ = (
+        "sigma", "alpha", "edge_labels", "edges", "_edge_of", "_vertices", "_components", "_walk"
+    )
 
     def __init__(
         self,
@@ -123,6 +125,7 @@ class CombinatorialMap:
         self.edge_labels = edge_labels
         self._vertices: tuple[tuple[int, ...], ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
+        self._walk: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- basic counting -------------------------------------------------
 
@@ -243,26 +246,30 @@ class CombinatorialMap:
         circle.  Equals v(partial_dual(A)) but is computed independently.
         """
         mask = self.subset_mask(subset)
-        sigma, alpha, edge_of = self.sigma, self.alpha, self._edge_of
-        n = len(sigma)
-        in_subset = [mask >> edge & 1 for edge in edge_of]
-        seen = [False] * n
+        sigma = self.sigma
+        step, bits, vertex_masks = self._walk_data()
+        seen = [False] * len(sigma)
         count = 0
-        for start in range(n):
-            if seen[start] or not in_subset[start]:
+        for start, bit in enumerate(bits):
+            if seen[start] or not mask & bit:
                 continue
             count += 1
             h = start
             while not seen[h]:
                 seen[h] = True
-                nxt = sigma[alpha[h]]
-                while not in_subset[nxt]:
-                    nxt = sigma[nxt]
-                h = nxt
-        for cyc in self.vertices():
-            if not any(in_subset[h] for h in cyc):
-                count += 1
-        return count
+                h = step[h]
+                while not mask & bits[h]:
+                    h = sigma[h]
+        return count + sum(1 for vertex_mask in vertex_masks if not mask & vertex_mask)
+
+    def _walk_data(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``sigma∘alpha``, the edge bit of each half-edge and the edge mask of each vertex."""
+        if self._walk is None:
+            bits = tuple(1 << edge for edge in self._edge_of)
+            # the sum of a vertex's distinct edge bits is their union
+            vertex_masks = tuple(sum({bits[h] for h in cyc}) for cyc in self.vertices())
+            self._walk = (tuple(self.sigma[a] for a in self.alpha), bits, vertex_masks)
+        return self._walk
 
     def genus_of_partial_dual(
         self,

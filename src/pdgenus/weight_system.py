@@ -40,11 +40,15 @@ def _genus_distribution(m: CombinatorialMap, explicit: bool) -> IntPolynomial:
     if explicit:
         for mask in range(1 << e):
             counts[m.partial_dual(mask).genus()] += 1
+    elif e == 0:
+        counts[0] = 1  # the empty map: one subset, no surface
     else:
-        # one boundary walk per subset serves as v for A and as f for A^c
+        # One boundary walk per subset serves as v for A and as f for A^c.
+        # G^(A^c) is the Euler dual of G^A, of the same genus, so one genus
+        # per complementary pair: the subsets without the top edge.
         bc = [m.spanning_boundary_count(mask) for mask in range(1 << e)]
-        for mask in range(1 << e):
-            counts[m.genus_of_partial_dual(mask, bc)] += 1
+        for mask in range(1 << (e - 1)):
+            counts[m.genus_of_partial_dual(mask, bc)] += 2
     return IntPolynomial(counts)
 
 
@@ -100,63 +104,38 @@ def pd_genus_report(diagram: ChordDiagram, method: str = "fast") -> GenusPolynom
 SIGNS = (1, -1, 1, -1)
 
 
-def _quadruples_from_word(
-    word: tuple[int, ...], table: dict[tuple[int, ...], int]
-) -> list[tuple[int, int, int, int]]:
-    """All quadruples arising from one diagram's (moving, fixed, endpoint) choices.
+@lru_cache(maxsize=None)
+def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
 
     The four diagrams agree outside one endpoint of the moving chord,
     which sits in the four slots adjacent to the two endpoints of the
     fixed chord: just before the first, just after the first, just before
     the second, just after the second.  Swapping the roles of the fixed
     chord's endpoints permutes the quadruple as (3, 4, 1, 2), which leaves
-    the alternating sum unchanged; the lesser variant is kept.
+    the alternating sum unchanged; the lesser variant is kept.  Duplicates
+    are removed by class id; id i is the diagram ``enumerate_diagrams(n)[i]``.
 
-    The circle is read from the partner of the free endpoint, which then
-    carries label 1 after relabelling by first occurrence; placing the
-    free endpoint in any later slot leaves the relabelled word normalized,
-    so every placement is one table lookup.
-    """
-    n2 = len(word)
-    partner = [0] * n2
-    first: dict[int, int] = {}
-    for i, label in enumerate(word):
-        if label in first:
-            partner[i], partner[first[label]] = first[label], i
-        else:
-            first[label] = i
-    out = []
-    for q in range(n2):
-        p = partner[q]
-        circle = word[p:] + word[:p]
-        free = (q - p) % n2
-        rest = normalize_labels(circle[:free] + circle[free + 1 :])
-        placed = [table[rest[:slot] + (1,) + rest[slot:]] for slot in range(n2)]
-        ends: dict[int, list[int]] = {}
-        for i in range(1, n2 - 1):
-            ends.setdefault(rest[i], []).append(i)
-        for r, s in ends.values():
-            four = (placed[r], placed[r + 1], placed[s], placed[s + 1])
-            out.append(min(four, four[2:] + four[:2]))
-    return out
-
-
-@lru_cache(maxsize=None)
-def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
-
-    For each diagram, each ordered pair (moving chord, fixed chord) and
-    each choice of the moving chord's free endpoint yields one quadruple;
-    duplicates are removed by class id.  Id i is the diagram
-    ``enumerate_diagrams(n)[i]``.
+    Read from the partner of the free endpoint, with the free endpoint
+    deleted, the circle is ``(1,) + s`` where s is a key of
+    ``class_table(n - 1)`` with its labels raised by one, and every key
+    arises.  So the keys enumerate the distinct rests of the circle, each
+    once: the free endpoint's 2n slots are one table lookup each, and each
+    chord of s is a fixed chord.
     """
     if n < 2:
         raise ValueError("four-term quadruples need order >= 2")
-    diagrams = enumerate_diagrams(n)  # builds the class table too
     table = class_table(n)
     keys: set[tuple[int, int, int, int]] = set()
-    for diagram in diagrams:
-        keys.update(_quadruples_from_word(diagram.word, table))
+    for skeleton in class_table(n - 1):
+        rest = (1,) + tuple([label + 1 for label in skeleton])
+        placed = [table[rest[:slot] + (1,) + rest[slot:]] for slot in range(2 * n)]
+        first: dict[int, int] = {}
+        for s, label in enumerate(rest):
+            r = first.setdefault(label, s)
+            if r != s:
+                four = (placed[r], placed[r + 1], placed[s], placed[s + 1])
+                keys.add(min(four, four[2:] + four[:2]))
     return tuple(sorted(keys))
 
 
@@ -248,6 +227,16 @@ def dim_quotient(n: int) -> int:
     return size - RationalMatrix(quadruple_vectors(n), size).rank()
 
 
+@lru_cache(maxsize=None)
+def _weight_systems(n: int) -> tuple[dict[int, Fraction], ...]:
+    """A basis of the order-n weight systems: the nullspace of the relation rows.
+
+    Each is a sparse ``{class id: value}`` vector.  The tuple and its dicts
+    are shared by every caller: do not mutate them.
+    """
+    return tuple(RationalMatrix(quadruple_vectors(n), len(enumerate_diagrams(n))).nullspace())
+
+
 def express_modulo_4T(
     diagram: ChordDiagram, basis: Sequence[ChordDiagram]
 ) -> list[Fraction]:
@@ -261,9 +250,8 @@ def express_modulo_4T(
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
-    size = len(enumerate_diagrams(n))
     index = class_table(n)
-    weight_systems = RationalMatrix(quadruple_vectors(n), size).nullspace()
+    weight_systems = _weight_systems(n)
     ids = [index[normalize_labels(b.word)] for b in basis]
     values = RationalMatrix(
         ({i: w[b] for i, b in enumerate(ids) if b in w} for w in weight_systems),

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pdgenus import cli
 from pdgenus.cli import main
 
 
@@ -56,6 +57,35 @@ class TestChecks:
     def test_dims_json(self, capsys):
         _, out, _ = run(capsys, "dims", "--json", "3")
         assert json.loads(out) == {"n": 3, "dim": 3, "diagrams": 5}
+
+
+class TestOrderLimit:
+    @pytest.mark.parametrize("command", ["enum", "check4t", "dims"])
+    def test_above_limit_exits_one_before_any_work(self, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started above the order limit")
+
+        for name in ("enumerate_diagrams", "check_4T", "dim_quotient"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, command, str(cli.MAX_ORDER + 1), "--json")
+        assert code == 1
+        assert out == ""
+        assert f"above the limit of {cli.MAX_ORDER}" in err and "--force" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("enum 3", '{"count": 5'),
+            ("check4t 3", '{"n": 3, "quadruples": 6, "violations": 0}'),
+            ("dims 3", '{"diagrams": 5, "dim": 3, "n": 3}'),
+        ],
+    )
+    def test_force_runs_above_limit(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setattr(cli, "MAX_ORDER", 2)
+        assert run(capsys, "--json", *argv.split())[0] == 1
+        code, out, _ = run(capsys, "--json", *argv.split(), "--force")
+        assert code == 0
+        assert out.startswith(expected)
 
 
 class TestEnum:

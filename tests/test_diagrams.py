@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -11,7 +12,6 @@ from pdgenus.diagrams import (
     MultiCircleDiagram,
     OddLengthError,
     UnknownChordError,
-    _matchings,
     caravan,
     class_table,
     enumerate_diagrams,
@@ -79,6 +79,22 @@ class TestCanonicalForm:
         assert hash(P("7 3 7 3")) == hash(P("1 2 1 2"))
 
 
+def _matchings(points):
+    """All perfect matchings of an even point set, as tuples of pairs.
+
+    The independent oracle for the class table, which is built by chord
+    insertion from the table one order below.
+    """
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, second in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for tail in _matchings(remaining):
+            yield ((first, second),) + tail
+
+
 def _burnside_count(n):
     """Diagrams up to rotation, counted without any canonicalization."""
     matchings = list(_matchings(tuple(range(2 * n))))
@@ -132,6 +148,15 @@ class TestClassTable:
         for matching in _matchings(tuple(range(2 * n))):
             word = _matching_word(matching, n)
             assert table[word] == position[ChordDiagram(word).canonical().word]
+
+    @pytest.mark.parametrize(
+        "n, matchings, digest",
+        [(5, 945, "8cc5f4fe581b8fe3"), (6, 10395, "5b4056ccae757861")],
+    )
+    def test_pinned_table(self, n, matchings, digest):
+        items = sorted(class_table(n).items())
+        assert len(items) == matchings
+        assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ids_ordered_by_canonical_word(self, n):

@@ -188,6 +188,23 @@ class TestSpanningBoundaryCount:
             mask = rng.randrange(1 << m.num_edges)
             assert m.spanning_boundary_count(mask) == m.partial_dual(mask).counts()[0]
 
+    def test_every_mask_of_one_map_object(self):
+        # one object answers every mask in turn, so stale per-map walk data shows
+        rng = random.Random(11)
+        bare_vertices = 0
+        for num_edges in (1, 2, 3, 4, 5, 6):
+            for _ in range(4):
+                m = random_map(rng, num_edges)
+                for mask in range(1 << num_edges):
+                    expected = m.partial_dual(mask).counts()[0]
+                    edges = [i for i in range(num_edges) if mask >> i & 1]
+                    assert m.spanning_boundary_count(mask) == expected
+                    assert m.spanning_boundary_count(edges) == expected
+                    bare_vertices += sum(
+                        1 for cyc in m.vertices() if not {m.edge_index(h) for h in cyc} & set(edges)
+                    )
+        assert bare_vertices > 0
+
 
 class TestFastGenusPath:
     def test_agrees_with_explicit_construction_exhaustively(self):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 import random
 import subprocess
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from pdgenus.diagrams import ChordDiagram, _matchings, caravan, enumerate_diagrams, product
+from pdgenus.diagrams import ChordDiagram, caravan, enumerate_diagrams, product
+from pdgenus.maps import CombinatorialMap
 from pdgenus.polynomials import IntPolynomial, RationalMatrix
 from pdgenus.weight_system import (
     NoSolutionError,
@@ -22,6 +24,8 @@ from pdgenus.weight_system import (
     pd_genus_report,
     quadruple_vectors,
 )
+from test_diagrams import _matchings
+from test_maps import random_map
 
 P = ChordDiagram.parse
 
@@ -48,11 +52,21 @@ class TestGenusPolynomial:
         assert pd_genus_polynomial(d.to_map()) == pd_genus_polynomial(d)
 
     def test_fast_and_explicit_methods_agree(self):
-        for n in range(1, 5):
+        for n in range(0, 5):
             for d in enumerate_diagrams(n):
                 assert pd_genus_polynomial(d, method="fast") == pd_genus_polynomial(
                     d, method="explicit"
                 )
+
+    def test_fast_and_explicit_methods_agree_on_multi_vertex_maps(self):
+        # the fast path evaluates one genus per complementary pair of subsets
+        rng = random.Random(5)
+        maps = [CombinatorialMap((), ())]
+        maps += [random_map(rng, e) for e in (1, 2, 3, 4, 5) for _ in range(8)]
+        assert any(len(m.vertices()) > 1 for m in maps)
+        assert any(len(m.connected_components()) > 1 for m in maps)
+        for m in maps:
+            assert pd_genus_polynomial(m) == pd_genus_polynomial(m, method="explicit")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -182,14 +196,30 @@ class TestQuadruples:
                 g1, g2, g3, g4 = (pd_genus_polynomial(d) for d in (d1, d2, d3, d4))
                 assert g1 - g2 + g3 - g4 == IntPolynomial.zero()
 
+    @staticmethod
+    def _assert_matches_oracle(n, count):
+        words = [d.word for d in enumerate_diagrams(n)]
+        quadruples = generate_4T_quadruples(n)
+        assert list(quadruples) == sorted(set(quadruples))
+        generated = {tuple(words[i] for i in quad) for quad in quadruples}
+        assert generated == _oracle_quadruple_keys(n)
+        assert len(generated) == len(quadruples) == count
+
     def test_matches_independent_event_enumeration(self):
         for n, count in ((3, 6), (4, 45)):
-            words = [d.word for d in enumerate_diagrams(n)]
-            quadruples = generate_4T_quadruples(n)
-            assert list(quadruples) == sorted(set(quadruples))
-            generated = {tuple(words[i] for i in quad) for quad in quadruples}
-            assert generated == _oracle_quadruple_keys(n)
-            assert len(generated) == len(quadruples) == count
+            self._assert_matches_oracle(n, count)
+
+    @pytest.mark.slow
+    def test_matches_independent_event_enumeration_at_order_five(self):
+        self._assert_matches_oracle(5, 420)
+
+    @pytest.mark.parametrize(
+        "n, count, digest", [(5, 420, "f7f4f52c50f7a14b"), (6, 4724, "b002e5febd7b2d9a")]
+    )
+    def test_pinned_output(self, n, count, digest):
+        quadruples = generate_4T_quadruples(n)
+        assert len(quadruples) == count
+        assert hashlib.sha256(repr(quadruples).encode()).hexdigest()[:16] == digest
 
     def test_order_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -335,6 +365,15 @@ class TestExpressModulo4T:
         for i, b in enumerate(basis):
             coeffs = express_modulo_4T(b, basis)
             assert coeffs == [Fraction(j == i) for j in range(len(basis))]
+
+    def test_relations_eliminated_once_per_order(self, monkeypatch):
+        calls = []
+        nullspace = RationalMatrix.nullspace
+        monkeypatch.setattr(RationalMatrix, "nullspace", lambda m: calls.append(m) or nullspace(m))
+        basis = self._basis()
+        for b in basis:
+            express_modulo_4T(b, basis)
+        assert len(calls) <= 1
 
     def test_dependent_basis_rejected(self):
         dependent = [P("1 1 2 2 3 4 3 4"), P("1 1 2 3 4 4 2 3")]  # equal mod 4T
