@@ -93,10 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check4t", help="verify the four-term relation exhaustively")
     add_order(p)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes evaluating the polynomial, at most one per CPU",
-    )
 
     p = add_parser("dims", help="dimension of diagrams modulo four-term relations")
     add_order(p)
@@ -199,7 +195,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_check4t(args) -> int:
     _check_order(args)
-    report = check_4T(args.n, threads=args.threads)
+    report = check_4T(args.n)
     if args.json:
         for violation in report["violations_list"]:
             print(json.dumps(violation, sort_keys=True))

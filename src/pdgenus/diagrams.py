@@ -176,30 +176,10 @@ class ChordDiagram:
         matrix = self.interlace_graph()
         counts = tuple(sorted(sum(row) for row in matrix))
         factors = []
-        for component in self._interlace_components():
+        for component in _interlace_components(matrix):
             factors.append(tuple(sorted(sum(matrix[i]) for i in component)))
         factors.sort(key=lambda f: (len(f), f))
         return InterlaceSequence(counts, tuple(factors))
-
-    def _interlace_components(self) -> list[list[int]]:
-        matrix = self.interlace_graph()
-        n = len(matrix)
-        seen = [False] * n
-        comps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in range(n):
-                    if matrix[x][y] and not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
 
     def join_decompose(self) -> list[ChordDiagram]:
         """Maximal factorization as an iterated connected sum.
@@ -211,12 +191,33 @@ class ChordDiagram:
         """
         labels = self.labels()
         factors = []
-        for component in self._interlace_components():
+        for component in _interlace_components(self.interlace_graph()):
             keep = {labels[i] for i in component}
             sub = tuple(x for x in self.word if x in keep)
             factors.append(ChordDiagram(sub).canonical())
         factors.sort(key=lambda d: (d.order, d.word))
         return factors
+
+
+def _interlace_components(matrix: list[list[int]]) -> list[list[int]]:
+    """Connected components of a graph given by its adjacency matrix, each sorted."""
+    n = len(matrix)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in range(n):
+                if matrix[x][y] and not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
 
 
 def normalize_labels(word: Sequence[int]) -> tuple[int, ...]:

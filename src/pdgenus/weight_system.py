@@ -12,7 +12,6 @@ connected sums, dependence only on the interlace graph).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,13 +138,6 @@ def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(sorted(keys))
 
 
-def _evaluate_classes(
-    n: int, lo: int, hi: int, invariant: Callable[[ChordDiagram], IntPolynomial]
-) -> list[IntPolynomial]:
-    """The invariant on the diagrams with class ids lo..hi-1 of order n."""
-    return [invariant(d) for d in enumerate_diagrams(n)[lo:hi]]
-
-
 def check_4T(
     n: int,
     invariant: Callable[[ChordDiagram], IntPolynomial] | None = None,
@@ -154,42 +146,33 @@ def check_4T(
     """Evaluate the alternating sum on every quadruple of order n.
 
     The invariant (by default the genus polynomial) is evaluated once per
-    diagram class, then summed over the quadruples' class ids.  Returns a
-    report with the quadruple count and all nonzero residuals; for the
-    genus polynomial the expected violation count is zero.  With
-    ``threads > 1`` the classes are split into contiguous id ranges, each
-    evaluated in a worker process, at most ``min(threads, cpu count,
-    classes)`` of them; the invariant must then be picklable.  The report
-    does not depend on the split.
+    diagram class, in this process, then summed over the quadruples' class
+    ids.  Returns a report with the quadruple count and all nonzero
+    residuals; for the genus polynomial the expected violation count is
+    zero.  ``threads`` is ignored: any value of at least 1 runs the same
+    loop, and a value below 1 raises ``ValueError`` before any work.  The
+    keyword remains only for existing callers and may be removed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
     diagrams = enumerate_diagrams(n)
     evaluate = pd_genus_polynomial if invariant is None else invariant
-    workers = min(threads, os.cpu_count() or 1, len(diagrams))
-    bounds = [len(diagrams) * k // workers for k in range(workers + 1)]
-    shards = [(n, lo, hi, evaluate) for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        parts = [_evaluate_classes(*shards[0])]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    values = [evaluate(d).coeffs for d in diagrams]
 
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            parts = list(pool.map(_evaluate_classes, *zip(*shards)))
-    values = [value for part in parts for value in part]
-
+    # Zero tests on coefficient tuples: a polynomial only for a violation.
     violations = []
     for quad in quadruples:
         a, b, c, d = (values[i] for i in quad)
-        residual = a - b + c - d
-        if residual:
+        if (a == b and c == d) or (a == d and b == c):
+            continue
+        padded = itertools.zip_longest(a, b, c, d, fillvalue=0)
+        residual = [w - x + y - z for w, x, y, z in padded]
+        if any(residual):
             violations.append(
                 {
                     "quadruple": [str(diagrams[i]) for i in quad],
-                    "residual": residual.to_json(),
+                    "residual": IntPolynomial(residual).to_json(),
                 }
             )
     return {

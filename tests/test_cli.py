@@ -43,11 +43,14 @@ class TestChecks:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary == {"n": 3, "quadruples": 6, "violations": 0}
 
-    def test_check4t_threads_below_one_exits_one(self, capsys):
-        code, out, err = run(capsys, "check4t", "3", "--threads", "0")
+    def test_check4t_threads_flag_removed(self, capsys):
+        code, out, err = run(capsys, "check4t", "3", "--threads", "2")
         assert code == 1
         assert out == ""
-        assert "threads" in err
+        assert "--threads" in err
+        code, out, _ = run(capsys, "check4t", "--help")
+        assert code == 0
+        assert "--threads" not in out
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "4")

@@ -1,0 +1,53 @@
+"""Source-level guards of the package: standard library only, no eval, no floats."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import pdgenus
+
+MODULES = sorted(Path(pdgenus.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_module_is_walked():
+    assert {p.stem for p in MODULES} >= {"__init__", "cli", "diagrams", "weight_system"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_absolute_imports_are_standard_library(path):
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_eval_exec_or_float_calls(path):
+    calls = [
+        node.func.id
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("eval", "exec", "float")
+    ]
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_float_constants(path):
+    floats = [
+        node.value
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert floats == []

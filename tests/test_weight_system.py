@@ -1,5 +1,5 @@
-import concurrent.futures
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -233,35 +233,21 @@ class TestCheck4T:
         assert report["violations"] == 0
         assert report["violations_list"] == []
 
-    def test_parallel_run_matches_sequential(self):
-        assert check_4T(4, threads=2) == check_4T(4)
-
-    @pytest.mark.parametrize(
-        "n, threads, cpus, workers",
-        [(2, 1000, 64, 2), (4, 1000, 4, 4), (4, 3, 64, 3), (4, 8, 1, None)],
-    )
-    def test_workers_capped_by_threads_cpus_and_classes(
-        self, monkeypatch, n, threads, cpus, workers
-    ):
-        started = []
-
-        class InlinePool:  # records the pool size and runs the shards in this process
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        assert check_4T(n, threads=threads) == check_4T(n)
-        assert started == ([] if workers is None else [workers])
+    def test_script_without_main_guard_runs_in_one_process(self, tmp_path):
+        script = tmp_path / "check.py"
+        script.write_text(
+            "import json, sys\n"
+            "import pdgenus\n"
+            "print(json.dumps(pdgenus.check_4T(4, threads=2), sort_keys=True))\n"
+            "pools = ('concurrent.futures.process', 'multiprocessing')\n"
+            "print(any(name in sys.modules for name in pools))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [json.dumps(check_4T(4), sort_keys=True), "False"]
 
     def test_import_loads_no_process_pool(self):
         code = "import sys, pdgenus; print('concurrent.futures.process' in sys.modules)"
@@ -303,6 +289,31 @@ class TestCheck4T:
             "quadruple": ["1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3", "1 2 1 3 2 3"],
             "residual": {"coeffs": [1]},
         }
+
+    def test_residual_only_in_the_top_coefficient(self):
+        # 1 + z^2 on a seeded half of the classes and 1 elsewhere: the four
+        # values have different lengths, and a residual shows only at z^2
+        diagrams = enumerate_diagrams(4)
+        rng = random.Random(3)
+        marks = [rng.randrange(2) for _ in diagrams]
+        values = {d.word: IntPolynomial([1, 0, 1] if m else [1]) for d, m in zip(diagrams, marks)}
+
+        expected, patterns = [], set()
+        for quad in generate_4T_quadruples(4):
+            a, b, c, d = (values[diagrams[i].word] for i in quad)
+            residual = a - b + c - d
+            if residual:
+                expected.append(
+                    {"quadruple": [str(diagrams[i]) for i in quad], "residual": residual.to_json()}
+                )
+                patterns.add(tuple(marks[i] for i in quad))
+        # violations where one pair of values agrees and the other does not,
+        # and where the first equals the third and the second the fourth
+        assert any(m[0] == m[1] and m[2] != m[3] for m in patterns)
+        assert any(m[0] == m[2] != m[1] == m[3] for m in patterns)
+        report = check_4T(4, invariant=lambda d: values[d.word])
+        assert report["violations"] == len(expected)
+        assert report["violations_list"] == expected
 
     def test_bare_genus_passes_by_slide_pairing(self):
         # the quadruple partners differ by single edge slides, so genus
