@@ -32,11 +32,9 @@ from .maps import (
     NotInvolutionError,
     SizeMismatchError,
     are_isomorphic,
-    parse_map,
 )
 from .polynomials import IntPolynomial, RationalMatrix
 from .weight_system import (
-    GenusPolynomialResult,
     NoSolutionError,
     NotABasisError,
     check_4T,
@@ -46,7 +44,6 @@ from .weight_system import (
     express_modulo_4T,
     generate_4T_quadruples,
     pd_genus_polynomial,
-    pd_genus_report,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +55,6 @@ __all__ = [
     "EdgeOutOfRangeError",
     "EmptyCaravanError",
     "FixedPointError",
-    "GenusPolynomialResult",
     "IntPolynomial",
     "InterlaceSequence",
     "LabelCountError",
@@ -82,9 +78,7 @@ __all__ = [
     "express_modulo_4T",
     "from_map",
     "generate_4T_quadruples",
-    "parse_map",
     "partial_dual_diagram",
     "pd_genus_polynomial",
-    "pd_genus_report",
     "product",
 ]

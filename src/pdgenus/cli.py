@@ -22,7 +22,7 @@ from .diagrams import (
 )
 from .golden import verify_golden_table
 from .maps import CombinatorialMap
-from .weight_system import check_4T, dim_quotient, pd_genus_report
+from .weight_system import check_4T, dim_quotient, pd_genus_polynomial
 
 USAGE_ERROR = 1
 VIOLATION_ERROR = 2
@@ -67,18 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("poly", help="genus polynomial over all partial duals")
     p.add_argument("diagram")
-    p.add_argument(
-        "--oracle",
-        dest="method",
-        action="store_const",
-        const="explicit",
-        default="fast",
-        help="build every partial dual instead of using the boundary-count path",
-    )
-    p.add_argument(
-        "--fast", dest="method", action="store_const", const="fast",
-        help="boundary-count genus path (default)",
-    )
 
     p = add_parser("dual", help="partial dual of a diagram, as circles and chords")
     p.add_argument("diagram")
@@ -134,8 +122,14 @@ def _print(payload: dict, text: str, as_json: bool) -> None:
 
 
 def _cmd_poly(args) -> int:
-    report = pd_genus_report(ChordDiagram.parse(args.diagram), method=args.method)
-    _print(report.to_json(), str(report.polynomial), args.json)
+    canon = ChordDiagram.parse(args.diagram).canonical()
+    poly = pd_genus_polynomial(canon)
+    payload = {
+        "diagram": list(canon.word),
+        "polynomial": poly.to_json(),
+        "subset_count": 1 << canon.order,
+    }
+    _print(payload, str(poly), args.json)
     return 0
 
 
@@ -180,6 +174,8 @@ def _check_order(args) -> None:
 
 def _cmd_enum(args) -> int:
     _check_order(args)
+    if args.limit is not None and args.limit < 0:
+        raise SystemExit((USAGE_ERROR, f"pdgenus enum: --limit {args.limit} is negative"))
     diagrams = enumerate_diagrams(args.n)
     shown = diagrams if args.limit is None else diagrams[: args.limit]
     payload = {
@@ -318,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(message, file=sys.stderr)
             return code
         return USAGE_ERROR if exc.code else 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"pdgenus: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

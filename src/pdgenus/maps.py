@@ -49,20 +49,6 @@ def _check_permutation(perm: Sequence[int], name: str) -> None:
         seen[x] = True
 
 
-def _orbit_count(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        count += 1
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            h = perm[h]
-    return count
-
-
 def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles of a permutation, each starting at its minimum, sorted by minimum."""
     seen = [False] * len(perm)
@@ -178,14 +164,9 @@ class CombinatorialMap:
 
     def counts(self) -> tuple[int, int, int, int]:
         """(v, e, f, c): vertices, edges, boundary components, connected components."""
-        v = _orbit_count(self.sigma)
-        e = len(self.edges)
-        f = _orbit_count([self.sigma[a] for a in self.alpha])
-        c = len(self.connected_components())
-        return (v, e, f, c)
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        v = len(self.vertices())
+        f = len(self.boundary_components())
+        return (v, len(self.edges), f, len(self.connected_components()))
 
     def genus(self) -> int:
         """Total genus, summed over connected components.
@@ -413,10 +394,6 @@ def format_cycles(perm: Sequence[int]) -> str:
     return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(perm))
 
 
-def parse_map(text: str) -> CombinatorialMap:
-    return CombinatorialMap.from_text(text)
-
-
 # -- isomorphism ---------------------------------------------------------
 
 
@@ -472,9 +449,7 @@ def are_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
 
     def key(comp):
         s, a = comp
-        v = _orbit_count(s)
-        f = _orbit_count([s[x] for x in a])
-        return (len(s), v, f)
+        return (len(s), len(_cycles(s)), len(_cycles([s[x] for x in a])))
 
     comps1.sort(key=key)
     comps2.sort(key=key)

@@ -26,36 +26,14 @@ class IntPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> IntPolynomial:
-        return cls()
-
-    @classmethod
-    def one(cls) -> IntPolynomial:
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> IntPolynomial:
-        return cls((0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def coeff_sum(self) -> int:
         """Sum of all coefficients, i.e. the value at z = 1."""
         return sum(self.coeffs)
-
-    def evaluate(self, x):
-        """Evaluate at ``x`` (int, Fraction, ...) by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

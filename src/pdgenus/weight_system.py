@@ -12,7 +12,6 @@ connected sums, dependence only on the interlace graph).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -33,13 +32,10 @@ class NoSolutionError(ValueError):
 # -- the genus polynomial -------------------------------------------------
 
 
-def _genus_distribution(m: CombinatorialMap, explicit: bool) -> IntPolynomial:
+def _genus_distribution(m: CombinatorialMap) -> IntPolynomial:
     e = m.num_edges
     counts = [0] * (e // 2 + 2)
-    if explicit:
-        for mask in range(1 << e):
-            counts[m.partial_dual(mask).genus()] += 1
-    elif e == 0:
+    if e == 0:
         counts[0] = 1  # the empty map: one subset, no surface
     else:
         # One boundary walk per subset serves as v for A and as f for A^c.
@@ -53,47 +49,19 @@ def _genus_distribution(m: CombinatorialMap, explicit: bool) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _gamma_of_word(word: tuple[int, ...]) -> IntPolynomial:
-    return _genus_distribution(ChordDiagram(word).to_map(), explicit=False)
+    return _genus_distribution(ChordDiagram(word).to_map())
 
 
-def pd_genus_polynomial(
-    g: ChordDiagram | CombinatorialMap, method: str = "fast"
-) -> IntPolynomial:
+def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
     """Genus generating function over all partial duals of ``g``.
 
-    ``method="fast"`` computes each genus from two spanning-subgraph
-    boundary counts; ``method="explicit"`` builds every partial dual.
-    The two must agree everywhere (enforced by the test suite).
+    Each genus comes from two spanning-subgraph boundary counts, without
+    building the partial dual; the test suite checks the result against
+    the genera of the partial duals themselves.
     """
-    if method not in ("fast", "explicit"):
-        raise ValueError(f"unknown method {method!r}")
     if isinstance(g, ChordDiagram):
-        if method == "fast":
-            return _gamma_of_word(g.canonical().word)
-        g = g.to_map()
-    return _genus_distribution(g, explicit=(method == "explicit"))
-
-
-@dataclass(frozen=True)
-class GenusPolynomialResult:
-    """A computed genus polynomial together with its diagram."""
-
-    diagram: ChordDiagram
-    polynomial: IntPolynomial
-    subset_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "diagram": list(self.diagram.word),
-            "polynomial": self.polynomial.to_json(),
-            "subset_count": self.subset_count,
-        }
-
-
-def pd_genus_report(diagram: ChordDiagram, method: str = "fast") -> GenusPolynomialResult:
-    canon = diagram.canonical()
-    poly = pd_genus_polynomial(canon, method=method)
-    return GenusPolynomialResult(canon, poly, 1 << canon.order)
+        return _gamma_of_word(g.canonical().word)
+    return _genus_distribution(g)
 
 
 # -- four-term quadruples --------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +27,23 @@ class TestPoly:
         assert payload["polynomial"] == {"coeffs": [2, 2]}
         assert payload["subset_count"] == 4
 
-    def test_oracle_flag_agrees(self, capsys):
-        _, fast, _ = run(capsys, "poly", "1 2 1 3 2 3")
-        _, slow, _ = run(capsys, "poly", "--oracle", "1 2 1 3 2 3")
-        assert fast == slow
+    def test_json_reports_the_canonical_diagram(self, capsys):
+        code, out, _ = run(capsys, "poly", "--json", "2 1 2 1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagram"] == [1, 2, 1, 2]
+        assert payload["subset_count"] == 4
+        assert payload["polynomial"] == {"coeffs": [2, 2]}
+
+    @pytest.mark.parametrize("flag", ["--oracle", "--fast"])
+    def test_genus_path_flags_removed(self, capsys, flag):
+        code, out, err = run(capsys, "poly", flag, "1 2 1 3 2 3")
+        assert code == 1
+        assert out == ""
+        assert flag in err
+        code, out, _ = run(capsys, "poly", "--help")
+        assert code == 0
+        assert "--oracle" not in out and "--fast" not in out
 
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "poly", "1 2 1")
@@ -104,6 +119,12 @@ class TestEnum:
         assert len(lines) == 3
         assert lines[-1] == "count: 5"
 
+    def test_negative_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "enum", "3", "--limit", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--limit" in err
+
     def test_json_round_trips_through_parse(self, capsys):
         _, out, _ = run(capsys, "enum", "2", "--json")
         payload = json.loads(out)
@@ -122,6 +143,12 @@ class TestGenus:
         code, out, _ = run(capsys, "genus", "--json", str(path))
         assert code == 0
         assert json.loads(out) == {"genus": 1, "v": 1, "e": 2, "f": 1, "c": 1}
+
+    def test_directory_exits_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "genus", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pdgenus: error:")
 
 
 class TestDual:
@@ -205,3 +232,39 @@ class TestReportDigests:
         code, out, _ = run(capsys, "--json", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestReadmeCommands:
+    """Every ``pdgenus`` line of the README's command-line block runs."""
+
+    SKIPPED = {
+        ("dims", "7", "--json"),  # about 40 s
+        ("genus", "path/to/map.txt"),  # a placeholder path
+    }
+    STDOUT = {
+        ("poly", "1 2 1 2"): "2 + 2z",
+        ("genus", "1 2 3 1 2 3"): "1",
+        ("dims", "4"): "6",
+    }
+
+    @staticmethod
+    def commands():
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = block.split("```text\n", 1)[1].split("```", 1)[0]
+        return [
+            tuple(shlex.split(line, comments=True)[1:])
+            for line in block.splitlines()
+            if line.startswith("pdgenus ")
+        ]
+
+    def test_every_line_exits_zero(self, capsys):
+        commands = self.commands()
+        assert self.SKIPPED | set(self.STDOUT) <= set(commands)
+        for argv in commands:
+            if argv in self.SKIPPED:
+                continue
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            if argv in self.STDOUT:
+                assert out.strip() == self.STDOUT[argv]

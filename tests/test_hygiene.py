@@ -51,3 +51,16 @@ def test_no_float_constants(path):
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert floats == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    init = Path(pdgenus.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(_tree(init))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert set(pdgenus.__all__) == imported
+    assert len(pdgenus.__all__) == len(imported)
+    assert all(hasattr(pdgenus, name) for name in pdgenus.__all__)

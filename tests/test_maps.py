@@ -12,7 +12,6 @@ from pdgenus.maps import (
     SizeMismatchError,
     are_isomorphic,
     format_cycles,
-    parse_map,
 )
 
 
@@ -271,25 +270,25 @@ class TestSlide:
 class TestTextFormat:
     def test_round_trip(self):
         m = three_loop_chain()
-        assert parse_map(m.to_text()) == m
+        assert CombinatorialMap.from_text(m.to_text()) == m
 
     def test_explicit_example(self):
-        m = parse_map("sigma: (0 1 2 3)\nalpha: (0 2)(1 3)\n")
+        m = CombinatorialMap.from_text("sigma: (0 1 2 3)\nalpha: (0 2)(1 3)\n")
         assert m == interlaced_pair()
 
     def test_commas_allowed(self):
-        m = parse_map("sigma: (0,1)\nalpha: (0,1)")
+        m = CombinatorialMap.from_text("sigma: (0,1)\nalpha: (0,1)")
         assert m.counts() == (1, 1, 2, 1)
 
     def test_missing_line_rejected(self):
         with pytest.raises(ValueError):
-            parse_map("sigma: (0 1)")
+            CombinatorialMap.from_text("sigma: (0 1)")
 
     def test_bad_cycles_rejected(self):
         with pytest.raises(ValueError):
-            parse_map("sigma: (0 1\nalpha: (0 1)")
+            CombinatorialMap.from_text("sigma: (0 1\nalpha: (0 1)")
         with pytest.raises(ValueError):
-            parse_map("sigma: (0 1)(1 0)\nalpha: (0 1)")
+            CombinatorialMap.from_text("sigma: (0 1)(1 0)\nalpha: (0 1)")
 
     def test_format_cycles(self):
         assert format_cycles((1, 0, 3, 2)) == "(0 1)(2 3)"

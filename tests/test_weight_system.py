@@ -21,13 +21,20 @@ from pdgenus.weight_system import (
     express_modulo_4T,
     generate_4T_quadruples,
     pd_genus_polynomial,
-    pd_genus_report,
     quadruple_vectors,
 )
 from test_diagrams import _matchings
 from test_maps import random_map
 
 P = ChordDiagram.parse
+
+
+def _explicit_polynomial(m):
+    """The genus polynomial by its definition: build every partial dual of the map."""
+    counts = [0] * (m.num_edges // 2 + 2)
+    for mask in range(1 << m.num_edges):
+        counts[m.partial_dual(mask).genus()] += 1
+    return IntPolynomial(counts)
 
 
 class TestGenusPolynomial:
@@ -54,9 +61,7 @@ class TestGenusPolynomial:
     def test_fast_and_explicit_methods_agree(self):
         for n in range(0, 5):
             for d in enumerate_diagrams(n):
-                assert pd_genus_polynomial(d, method="fast") == pd_genus_polynomial(
-                    d, method="explicit"
-                )
+                assert pd_genus_polynomial(d) == _explicit_polynomial(d.to_map())
 
     def test_fast_and_explicit_methods_agree_on_multi_vertex_maps(self):
         # the fast path evaluates one genus per complementary pair of subsets
@@ -66,11 +71,7 @@ class TestGenusPolynomial:
         assert any(len(m.vertices()) > 1 for m in maps)
         assert any(len(m.connected_components()) > 1 for m in maps)
         for m in maps:
-            assert pd_genus_polynomial(m) == pd_genus_polynomial(m, method="explicit")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            pd_genus_polynomial(P("1 1"), method="approximate")
+            assert pd_genus_polynomial(m) == _explicit_polynomial(m)
 
     def test_coefficient_sum_is_subset_count(self):
         for n in range(1, 5):
@@ -113,12 +114,6 @@ class TestGenusPolynomial:
                 for _ in range(g):
                     expected = expected * pair
                 assert pd_genus_polynomial(caravan(k, g)) == expected
-
-    def test_report_wrapper(self):
-        report = pd_genus_report(P("2 1 2 1"))
-        assert report.diagram.word == (1, 2, 1, 2)
-        assert report.subset_count == 4
-        assert report.to_json()["polynomial"] == {"coeffs": [2, 2]}
 
 
 def _oracle_quadruple_keys(n):
@@ -194,7 +189,7 @@ class TestQuadruples:
             d1, d2, d3, d4 = (diagrams[i] for i in quad)
             if d1 == d2 and d3 == d4:
                 g1, g2, g3, g4 = (pd_genus_polynomial(d) for d in (d1, d2, d3, d4))
-                assert g1 - g2 + g3 - g4 == IntPolynomial.zero()
+                assert g1 - g2 + g3 - g4 == IntPolynomial()
 
     @staticmethod
     def _assert_matches_oracle(n, count):
