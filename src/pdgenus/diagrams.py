@@ -159,16 +159,25 @@ class ChordDiagram:
     # -- interlacement ----------------------------------------------------
 
     def interlace_graph(self) -> list[list[int]]:
-        """Symmetric 0/1 adjacency: chords interlace iff their endpoints alternate."""
-        labels = self.labels()
-        spans = [self.endpoints(label) for label in labels]
-        n = len(labels)
+        """Symmetric 0/1 adjacency: chords interlace iff their endpoints alternate.
+
+        Rows and columns follow ``labels()``, the order of first occurrence.
+        """
+        index: dict[int, int] = {}
+        spans: list[list[int]] = []
+        for position, label in enumerate(self.word):
+            if label in index:
+                spans[index[label]].append(position)
+            else:
+                index[label] = len(spans)
+                spans.append([position])
+        n = len(spans)
         matrix = [[0] * n for _ in range(n)]
         for i in range(n):
             a, b = spans[i]
             for j in range(i + 1, n):
-                inside = sum(1 for p in spans[j] if a < p < b)
-                if inside == 1:
+                c, d = spans[j]  # a < c: chord j opens after chord i
+                if c < b < d:
                     matrix[i][j] = matrix[j][i] = 1
         return matrix
 
@@ -187,14 +196,18 @@ class ChordDiagram:
         A factor occupies a contiguous cyclic arc, and two chords belong
         to the same factor exactly when they are linked by a chain of
         interlacements; so the factors are the connected components of
-        the interlace graph, each read off in circle order.
+        the interlace graph, each read off in circle order.  Factors are
+        canonical and sorted by order, then word.
         """
+        components = _interlace_components(self.interlace_graph())
+        if len(components) == 1:
+            return [self.canonical()]  # prime
         labels = self.labels()
         factors = []
-        for component in _interlace_components(self.interlace_graph()):
+        for component in components:
             keep = {labels[i] for i in component}
-            sub = tuple(x for x in self.word if x in keep)
-            factors.append(ChordDiagram(sub).canonical())
+            sub = tuple([x for x in self.word if x in keep])
+            factors.append(_canonical_diagram(min(_rotations(sub))))
         factors.sort(key=lambda d: (d.order, d.word))
         return factors
 

@@ -263,18 +263,25 @@ class CombinatorialMap:
         the invariance of e and c under partial duality.  A caller that
         needs every subset passes ``boundary_counts``, the value of
         ``spanning_boundary_count`` for every mask, and the two walks
-        become lookups.  Exhaustive agreement with the explicit
-        construction is enforced by the test suite before anything relies
-        on this path.
+        become lookups; a bitmask is then checked against the table alone,
+        which must have ``1 << e`` entries.  Exhaustive agreement with the
+        explicit construction is enforced by the test suite before
+        anything relies on this path.
         """
-        mask = self.subset_mask(subset)
         e = len(self.edges)
-        complement = ~mask & ((1 << e) - 1)
+        full = (1 << e) - 1
         if boundary_counts is None:
+            mask = self.subset_mask(subset)
             v = self.spanning_boundary_count(mask)
-            f = self.spanning_boundary_count(complement)
+            f = self.spanning_boundary_count(full ^ mask)
         else:
-            v, f = boundary_counts[mask], boundary_counts[complement]
+            mask = subset if isinstance(subset, int) else self.subset_mask(subset)
+            if not 0 <= mask < len(boundary_counts) == 1 << e:
+                raise EdgeOutOfRangeError(
+                    f"subset {mask:#x} outside a table of {len(boundary_counts)} "
+                    f"boundary counts for {e} edges"
+                )
+            v, f = boundary_counts[mask], boundary_counts[full ^ mask]
         double = 2 * len(self.connected_components()) - (v - e + f)
         assert double % 2 == 0 and double >= 0, "odd or negative Euler defect"
         return double // 2

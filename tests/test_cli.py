@@ -125,6 +125,10 @@ class TestEnum:
         assert out == ""
         assert "--limit" in err
 
+    def test_limit_zero_prints_only_the_count(self, capsys):
+        code, out, _ = run(capsys, "enum", "2", "--limit", "0")
+        assert (code, out) == (0, "count: 2\n")
+
     def test_json_round_trips_through_parse(self, capsys):
         _, out, _ = run(capsys, "enum", "2", "--json")
         payload = json.loads(out)
@@ -140,15 +144,33 @@ class TestGenus:
     def test_map_file(self, capsys, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("sigma: (0 1 2 3)\nalpha: (0 2)(1 3)\n")
-        code, out, _ = run(capsys, "genus", "--json", str(path))
+        code, out, _ = run(capsys, "genus", "--json", "--map", str(path))
         assert code == 0
         assert json.loads(out) == {"genus": 1, "v": 1, "e": 2, "f": 1, "c": 1}
 
     def test_directory_exits_one(self, capsys, tmp_path):
-        code, out, err = run(capsys, "genus", str(tmp_path))
+        code, out, err = run(capsys, "genus", "--map", str(tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith("pdgenus: error:")
+
+    def test_missing_map_file_is_reported_as_missing(self, capsys, tmp_path):
+        code, out, err = run(capsys, "genus", "--map", str(tmp_path / "abab.txt"))
+        assert (code, out) == (1, "")
+        assert "No such file" in err
+
+    def test_bare_argument_is_a_word_even_when_a_file_has_its_name(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "abab").write_text("sigma: (0 1)\nalpha: (0 1)\n")  # genus 0
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "genus", "abab")
+        assert (code, out.strip()) == (0, "1")
+
+    def test_word_and_map_are_exclusive(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "genus", "1 1", "--map", str(tmp_path / "m.txt"))
+        assert (code, out) == (1, "")
+        assert run(capsys, "genus")[0] == 1
 
 
 class TestDual:
@@ -239,7 +261,7 @@ class TestReadmeCommands:
 
     SKIPPED = {
         ("dims", "7", "--json"),  # about 40 s
-        ("genus", "path/to/map.txt"),  # a placeholder path
+        ("genus", "--map", "path/to/map.txt"),  # a placeholder path
     }
     STDOUT = {
         ("poly", "1 2 1 2"): "2 + 2z",

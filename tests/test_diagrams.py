@@ -273,7 +273,37 @@ class TestInterlacement:
             assert list(joined.interlace_sequence().counts) == merged
 
 
+def _factors_by_endpoint_scans(d):
+    """Interlace graph and join factors from one endpoint scan per chord."""
+    labels = d.labels()
+    spans = [d.endpoints(label) for label in labels]
+    n = len(labels)
+    matrix = [
+        [int(sum(spans[i][0] < p < spans[i][1] for p in spans[j]) == 1) for j in range(n)]
+        for i in range(n)
+    ]
+    component = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j]:
+                old, new = component[j], component[i]
+                component = [new if c == old else c for c in component]
+    factors = []
+    for c in sorted(set(component)):
+        keep = {labels[i] for i in range(n) if component[i] == c}
+        factors.append(ChordDiagram(x for x in d.word if x in keep).canonical().word)
+    return matrix, sorted(factors, key=lambda w: (len(w), w))
+
+
 class TestJoinDecompose:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_endpoint_scans(self, n):
+        for canonical in enumerate_diagrams(n):
+            for d in (canonical, ChordDiagram(canonical.word[1:] + canonical.word[:1])):
+                matrix, factors = _factors_by_endpoint_scans(d)
+                assert d.interlace_graph() == matrix, d
+                assert [f.word for f in d.join_decompose()] == factors, d
+
     def test_two_singles(self):
         assert P("1 1 2 2").join_decompose() == [P("1 1"), P("1 1")]
 

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from pdgenus import weight_system
 from pdgenus.diagrams import ChordDiagram, caravan, enumerate_diagrams, product
 from pdgenus.maps import CombinatorialMap
 from pdgenus.polynomials import IntPolynomial, RationalMatrix
 from pdgenus.weight_system import (
     NoSolutionError,
     NotABasisError,
+    _genus_distribution,
     check_4T,
     check_intersection_graph_invariance,
     check_multiplicativity,
@@ -114,6 +116,85 @@ class TestGenusPolynomial:
                 for _ in range(g):
                     expected = expected * pair
                 assert pd_genus_polynomial(caravan(k, g)) == expected
+
+
+@pytest.fixture
+def cold_gamma():
+    """An empty polynomial cache during the test, and again after it."""
+    weight_system._gamma_of_word.cache_clear()
+    yield
+    weight_system._gamma_of_word.cache_clear()
+
+
+def _count_walks(monkeypatch):
+    walks = []
+
+    def counted(m):
+        walks.append(m)
+        return _genus_distribution(m)
+
+    monkeypatch.setattr(weight_system, "_genus_distribution", counted)
+    return walks
+
+
+class TestFactorAndMirrorShortcuts:
+    """Connected sums multiply their factors' polynomials; mirror images share theirs."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_class_matches_its_own_walk(self, n):
+        for d in enumerate_diagrams(n):
+            assert pd_genus_polynomial(d) == _genus_distribution(d.to_map()), d
+
+    @pytest.mark.slow
+    def test_every_class_matches_its_own_walk_at_order_seven(self, cold_gamma):
+        for d in enumerate_diagrams(7):
+            assert pd_genus_polynomial(d) == _genus_distribution(d.to_map()), d
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reversed_word_has_the_same_polynomial(self, n):
+        for d in enumerate_diagrams(n):
+            mirror = ChordDiagram(d.word[::-1])
+            walked = _genus_distribution(d.to_map())
+            assert _genus_distribution(mirror.to_map()) == walked, d
+            assert pd_genus_polynomial(mirror) == walked, d
+
+    @pytest.mark.parametrize("n, walks", [(4, 10), (5, 35), (6, 200)])
+    def test_only_prime_diagrams_up_to_reflection_are_walked(
+        self, n, walks, cold_gamma, monkeypatch
+    ):
+        walked = _count_walks(monkeypatch)
+        for d in enumerate_diagrams(n):
+            pd_genus_polynomial(d)
+        assert len(walked) == walks
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda factors: [ChordDiagram(())] + factors[1:],  # one factor dropped
+            lambda factors: factors + factors[:1],  # one factor counted twice
+        ],
+    )
+    def test_a_wrong_product_is_a_multiplicativity_violation(
+        self, corrupt, cold_gamma, monkeypatch
+    ):
+        decompose = ChordDiagram.join_decompose
+
+        def corrupted(self):
+            factors = decompose(self)
+            return corrupt(factors) if len(factors) > 1 else factors
+
+        monkeypatch.setattr(ChordDiagram, "join_decompose", corrupted)
+        assert check_multiplicativity(2, 2)["violations"] > 0
+
+    def test_multiplicativity_walks_each_product(self, cold_gamma, monkeypatch):
+        # A wrong order-2 walk enters every product through its factors: only
+        # a product evaluated by its own walk can disagree with them.
+        def corrupted(m):
+            walked = _genus_distribution(m)
+            return walked + IntPolynomial([1]) if m.num_edges == 2 else walked
+
+        monkeypatch.setattr(weight_system, "_genus_distribution", corrupted)
+        assert check_multiplicativity(2, 2)["violations"] > 0
 
 
 def _oracle_quadruple_keys(n):
@@ -476,6 +557,11 @@ class TestIntersectionGraphInvariance:
     def test_no_violations(self, n):
         report = check_intersection_graph_invariance(n)
         assert report["violations"] == 0
+
+    def test_every_member_is_walked(self, monkeypatch):
+        walked = _count_walks(monkeypatch)
+        check_intersection_graph_invariance(4)
+        assert len(walked) == len(enumerate_diagrams(4))
 
     def test_order_four_coincidence_classes(self):
         report = check_intersection_graph_invariance(4)
