@@ -146,9 +146,7 @@ class ChordDiagram:
                 alpha[i] = first[label]
             else:
                 first[label] = i
-        # edges are ordered by minimal half-edge, i.e. by first occurrence
-        edge_labels = tuple(self.word[i] for i in range(n2) if i < alpha[i])
-        return CombinatorialMap(sigma, alpha, edge_labels)
+        return CombinatorialMap(sigma, alpha)
 
     def genus(self) -> int:
         return self.to_map().genus()

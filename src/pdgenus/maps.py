@@ -8,8 +8,11 @@ the orbits of ``alpha``, and boundary components the orbits of
 orbit count.  The rotation-system encoding makes every represented
 surface orientable.
 
-All operations are pure: they return new maps and never mutate shared
-state, so callers may fan out over subsets or maps in parallel.
+A map's ``sigma`` and ``alpha`` never change after construction:
+partial duality and slides return new maps.  A map does fill private
+caches on first use (its vertex cycles, connected components and
+boundary-walk data) with values that depend only on the map, so a second
+fill stores the same value.  Use from several threads is untested.
 """
 
 from __future__ import annotations
@@ -66,19 +69,29 @@ def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _discover(sigma: Sequence[int], alpha: Sequence[int], start: int) -> dict[int, int]:
+    """Every half-edge sigma and alpha reach from ``start``, named in discovery order.
+
+    Breadth first from ``start`` (named 0), each visited half-edge h names
+    ``sigma[h]`` and then ``alpha[h]`` if they are new.  The dict iterates
+    in name order.
+    """
+    names = {start: 0}
+    order = [start]
+    for h in order:
+        for image in (sigma[h], alpha[h]):
+            if image not in names:
+                names[image] = len(order)
+                order.append(image)
+    return names
+
+
 class CombinatorialMap:
     """An oriented ribbon graph on the half-edge set ``0..2e-1``."""
 
-    __slots__ = (
-        "sigma", "alpha", "edge_labels", "edges", "_edge_of", "_vertices", "_components", "_walk"
-    )
+    __slots__ = ("sigma", "alpha", "edges", "_edge_of", "_vertices", "_components", "_walk")
 
-    def __init__(
-        self,
-        sigma: Iterable[int],
-        alpha: Iterable[int],
-        edge_labels: Sequence | None = None,
-    ) -> None:
+    def __init__(self, sigma: Iterable[int], alpha: Iterable[int]) -> None:
         sigma = tuple(sigma)
         alpha = tuple(alpha)
         if len(sigma) != len(alpha):
@@ -104,11 +117,6 @@ class CombinatorialMap:
         for i, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = i
         self._edge_of = tuple(edge_of)
-        if edge_labels is not None:
-            edge_labels = tuple(edge_labels)
-            if len(edge_labels) != len(self.edges):
-                raise SizeMismatchError("one label per edge is required")
-        self.edge_labels = edge_labels
         self._vertices: tuple[tuple[int, ...], ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
         self._walk: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
@@ -139,28 +147,15 @@ class CombinatorialMap:
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the group generated by sigma and alpha, sorted by minimum."""
         if self._components is None:
-            self._components = self._find_components()
+            seen: set[int] = set()
+            comps = []
+            for start in range(len(self.sigma)):
+                if start not in seen:
+                    comp = _discover(self.sigma, self.alpha, start)
+                    seen.update(comp)
+                    comps.append(tuple(sorted(comp)))
+            self._components = tuple(comps)
         return self._components
-
-    def _find_components(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.sigma)
-        seen = [False] * n
-        comps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                h = stack.pop()
-                comp.append(h)
-                for img in (self.sigma[h], self.alpha[h]):
-                    if not seen[img]:
-                        seen[img] = True
-                        stack.append(img)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
 
     def counts(self) -> tuple[int, int, int, int]:
         """(v, e, f, c): vertices, edges, boundary components, connected components."""
@@ -213,7 +208,7 @@ class CombinatorialMap:
             sigma[alpha[h]] if mask >> edge_of[h] & 1 else sigma[h]
             for h in range(len(sigma))
         )
-        return CombinatorialMap(new_sigma, alpha, self.edge_labels)
+        return CombinatorialMap(new_sigma, alpha)
 
     def euler_dual(self) -> CombinatorialMap:
         """Classical duality: the partial dual relative to all edges."""
@@ -327,7 +322,7 @@ class CombinatorialMap:
             raise NotAdjacentError(
                 f"half-edge {moving} is not sigma-adjacent to an end of edge {along_edge}"
             )
-        return CombinatorialMap(new_sigma, self.alpha, self.edge_labels)
+        return CombinatorialMap(new_sigma, self.alpha)
 
     # -- equality and serialization --------------------------------------
 
@@ -404,80 +399,30 @@ def format_cycles(perm: Sequence[int]) -> str:
 # -- isomorphism ---------------------------------------------------------
 
 
-def _connected_iso_exists(
-    s1: Sequence[int], a1: Sequence[int], s2: Sequence[int], a2: Sequence[int]
-) -> bool:
-    """Isomorphism test for connected maps of equal size.
+def _canonical_code(m: CombinatorialMap) -> tuple:
+    """A value two maps share exactly when they are isomorphic.
 
-    sigma and alpha act transitively on a connected map, so a candidate
-    bijection is forced once the image of half-edge 0 is chosen; try all
-    choices and propagate.
+    sigma and alpha act transitively on a connected component, so naming
+    one start half-edge 0 names every other one by discovery order, and a
+    rooted map has no nontrivial automorphism (Tutte, 1963).  A start's
+    code is sigma and alpha rewritten in those names; a component's code
+    is the least over its starts, and the map's the sorted tuple of its
+    components' codes.
     """
-    n = len(s1)
-    if n == 0:
-        return True
-    for anchor in range(n):
-        phi = [-1] * n
-        phi[0] = anchor
-        stack = [0]
-        ok = True
-        while stack and ok:
-            x = stack.pop()
-            for p1, p2 in ((s1, s2), (a1, a2)):
-                y, image = p1[x], p2[phi[x]]
-                if phi[y] == -1:
-                    phi[y] = image
-                    stack.append(y)
-                elif phi[y] != image:
-                    ok = False
-                    break
-        if ok and sorted(phi) == list(range(n)):
-            return True
-    return False
-
-
-def _relabelled_component(
-    m: CombinatorialMap, comp: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    index = {h: i for i, h in enumerate(comp)}
-    sigma = tuple(index[m.sigma[h]] for h in comp)
-    alpha = tuple(index[m.alpha[h]] for h in comp)
-    return sigma, alpha
+    sigma, alpha = m.sigma, m.alpha
+    codes = []
+    for comp in m.connected_components():
+        rooted = []
+        for start in comp:
+            names = _discover(sigma, alpha, start)
+            rooted.append((
+                tuple([names[sigma[h]] for h in names]),
+                tuple([names[alpha[h]] for h in names]),
+            ))
+        codes.append(min(rooted))
+    return tuple(sorted(codes))
 
 
 def are_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
     """Whether two maps differ only by a relabelling of half-edges."""
-    if m1.num_half_edges != m2.num_half_edges:
-        return False
-    comps1 = [_relabelled_component(m1, c) for c in m1.connected_components()]
-    comps2 = [_relabelled_component(m2, c) for c in m2.connected_components()]
-    if len(comps1) != len(comps2):
-        return False
-
-    def key(comp):
-        s, a = comp
-        return (len(s), len(_cycles(s)), len(_cycles([s[x] for x in a])))
-
-    comps1.sort(key=key)
-    comps2.sort(key=key)
-    if [key(c) for c in comps1] != [key(c) for c in comps2]:
-        return False
-
-    remaining = list(comps2)
-
-    def match(i: int) -> bool:
-        if i == len(comps1):
-            return True
-        s1, a1 = comps1[i]
-        for j, (s2, a2) in enumerate(remaining):
-            if s2 is None or len(s2) != len(s1):
-                continue
-            if _connected_iso_exists(s1, a1, s2, a2):
-                saved = remaining[j]
-                remaining[j] = (None, None)
-                if match(i + 1):
-                    return True
-                remaining[j] = saved
-        return False
-
-    return match(0)
+    return m1.num_half_edges == m2.num_half_edges and _canonical_code(m1) == _canonical_code(m2)

@@ -115,13 +115,12 @@ def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     ``class_table(n - 1)`` with its labels raised by one, and every key
     arises.  So the keys enumerate the distinct rests of the circle, each
     once: the free endpoint's 2n slots are one table lookup each, and each
-    chord of s is a fixed chord.
+    chord of s is a fixed chord.  Below order 2 there is no fixed chord,
+    so the tuple is empty; a negative order raises ``ValueError``.
     """
-    if n < 2:
-        raise ValueError("four-term quadruples need order >= 2")
     table = class_table(n)
     keys: set[tuple[int, int, int, int]] = set()
-    for skeleton in class_table(n - 1):
+    for skeleton in class_table(n - 1) if n else ():
         rest = (1,) + tuple([label + 1 for label in skeleton])
         placed = [table[rest[:slot] + (1,) + rest[slot:]] for slot in range(2 * n)]
         first: dict[int, int] = {}
@@ -182,12 +181,7 @@ def check_4T(
 
 
 def quadruple_vectors(n: int) -> list[dict[int, int]]:
-    """Distinct four-term relation vectors of order n, as sparse rows ``{class id: coefficient}``.
-
-    Below order 2 there are no relations, so the list is empty.
-    """
-    if n < 2:
-        return []
+    """Distinct four-term relation vectors of order n, as sparse rows ``{class id: coefficient}``."""
     vectors: set[tuple[tuple[int, int], ...]] = set()
     for quad in generate_4T_quadruples(n):
         row: dict[int, int] = {}

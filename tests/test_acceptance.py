@@ -120,6 +120,7 @@ def test_criterion_06_structural_properties():
                     dual = m.partial_dual(a)
                     assert pd_genus_polynomial(dual) == gamma
                     assert are_isomorphic(dual.partial_dual(a), m)
+                    assert dual.partial_dual(a) == m
                     assert dual.counts()[0] == m.spanning_boundary_count(a)
                     assert m.genus_of_partial_dual(a) == dual.genus()
                 if n <= 3:
@@ -129,6 +130,7 @@ def test_criterion_06_structural_properties():
                             assert are_isomorphic(
                                 da.partial_dual(b), m.partial_dual(a ^ b)
                             )
+                            assert da.partial_dual(b) == m.partial_dual(a ^ b)
         # triangle identity sampled at n = 4, randomized at n <= 6
         rng = random.Random(23)
         for n in (4, 5, 6):
@@ -138,7 +140,9 @@ def test_criterion_06_structural_properties():
                 b = rng.randrange(1 << n)
                 da = m.partial_dual(a)
                 assert are_isomorphic(da.partial_dual(b), m.partial_dual(a ^ b))
+                assert da.partial_dual(b) == m.partial_dual(a ^ b)
                 assert are_isomorphic(da.partial_dual(a), m)
+                assert da.partial_dual(a) == m
                 assert da.counts()[0] == m.spanning_boundary_count(a)
                 assert m.genus_of_partial_dual(a) == da.genus()
                 assert pd_genus_polynomial(da) == pd_genus_polynomial(m)

@@ -58,6 +58,12 @@ class TestChecks:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary == {"n": 3, "quadruples": 6, "violations": 0}
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_check4t_below_order_two_is_empty(self, capsys, n):
+        code, out, err = run(capsys, "check4t", n)
+        assert code == 0
+        assert (out, err) == (f"n={n}: 0 quadruples, 0 violations\n", "")
+
     def test_check4t_threads_flag_removed(self, capsys):
         code, out, err = run(capsys, "check4t", "3", "--threads", "2")
         assert code == 1

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from pdgenus.diagrams import ChordDiagram, enumerate_diagrams
+from pdgenus.diagrams import ChordDiagram, enumerate_diagrams, from_map
 from pdgenus.maps import (
     CombinatorialMap,
     EdgeOutOfRangeError,
@@ -10,6 +11,7 @@ from pdgenus.maps import (
     NotAdjacentError,
     NotInvolutionError,
     SizeMismatchError,
+    _canonical_code,
     are_isomorphic,
     format_cycles,
 )
@@ -58,10 +60,6 @@ class TestValidation:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             CombinatorialMap((0, 0), (1, 0))
-
-    def test_edge_label_count_checked(self):
-        with pytest.raises(SizeMismatchError):
-            CombinatorialMap((0, 1), (1, 0), edge_labels=("a", "b"))
 
 
 class TestCounts:
@@ -144,10 +142,12 @@ class TestPartialDual:
                 for a in range(1 << e):
                     da = m.partial_dual(a)
                     assert are_isomorphic(da.partial_dual(a), m)
+                    assert da.partial_dual(a) == m
                     for b in range(1 << e):
                         assert are_isomorphic(
                             da.partial_dual(b), m.partial_dual(a ^ b)
                         )
+                        assert da.partial_dual(b) == m.partial_dual(a ^ b)
 
     def test_preserves_e_and_c(self):
         rng = random.Random(2)
@@ -157,11 +157,6 @@ class TestPartialDual:
             dual = m.partial_dual(mask)
             assert dual.num_edges == m.num_edges
             assert len(dual.connected_components()) == len(m.connected_components())
-
-    def test_keeps_edge_labels(self):
-        m = ChordDiagram.parse("1 2 1 2").to_map()
-        assert m.edge_labels == (1, 2)
-        assert m.partial_dual([0]).edge_labels == (1, 2)
 
 
 class TestSpanningBoundaryCount:
@@ -245,8 +240,7 @@ class TestSlide:
     def test_chain_slides_to_triangle(self):
         m = three_loop_chain()
         slid = m.slide(0, 1)
-        word = tuple(slid.edge_labels[slid.edge_index(h)] for h in slid.vertices()[0])
-        assert ChordDiagram(word) == ChordDiagram.parse("1 2 3 1 2 3")
+        assert from_map(slid).to_diagram() == ChordDiagram.parse("1 2 3 1 2 3")
         assert slid.genus() == m.genus()
 
     def test_slide_then_slide_back(self):
@@ -346,3 +340,95 @@ def _disjoint_union(m1, m2):
     sigma = list(m1.sigma) + [x + k for x in m2.sigma]
     alpha = list(m1.alpha) + [x + k for x in m2.alpha]
     return CombinatorialMap(sigma, alpha)
+
+
+def _relabelled(m, p):
+    """The map with half-edge h renamed p[h]."""
+    sigma = [0] * m.num_half_edges
+    alpha = [0] * m.num_half_edges
+    for h in range(m.num_half_edges):
+        sigma[p[h]] = p[m.sigma[h]]
+        alpha[p[h]] = p[m.alpha[h]]
+    return CombinatorialMap(sigma, alpha)
+
+
+def _all_maps(num_half_edges):
+    """Every map on ``num_half_edges`` half-edges: all rotations times all pairings."""
+    perms = list(itertools.permutations(range(num_half_edges)))
+    for alpha in perms:
+        if all(alpha[h] != h and alpha[alpha[h]] == h for h in range(num_half_edges)):
+            for sigma in perms:
+                yield CombinatorialMap(sigma, alpha)
+
+
+def _brute_force_isomorphic(m1, m2):
+    """Whether some permutation p has p∘σ = σ'∘p and p∘α = α'∘p."""
+    if m1.num_half_edges != m2.num_half_edges:
+        return False
+    ground = range(m1.num_half_edges)
+    return any(
+        all(p[m1.sigma[h]] == m2.sigma[p[h]] and p[m1.alpha[h]] == m2.alpha[p[h]] for h in ground)
+        for p in itertools.permutations(ground)
+    )
+
+
+class TestCanonicalCode:
+    def test_every_pair_of_small_maps_against_brute_force(self):
+        maps = [m for size in (0, 2, 4) for m in _all_maps(size)]
+        assert len(maps) == 1 + 2 + 72
+        isomorphic_pairs = 0
+        for m1 in maps:
+            for m2 in maps:
+                expected = _brute_force_isomorphic(m1, m2)
+                assert are_isomorphic(m1, m2) == expected, (m1, m2)
+                isomorphic_pairs += expected
+        assert len(maps) < isomorphic_pairs < len(maps) ** 2
+
+    def test_random_six_half_edge_pairs_against_brute_force(self):
+        rng = random.Random(41)
+        outcomes = []
+        for _ in range(240):
+            m1 = random_map(rng, 3)
+            # a relabelled copy, a relabelled partial dual (same e and c) or any map
+            m2 = rng.choice([m1, m1.partial_dual(rng.randrange(8)), random_map(rng, 3)])
+            m2 = _relabelled(m2, rng.sample(range(6), 6))
+            expected = _brute_force_isomorphic(m1, m2)
+            assert are_isomorphic(m1, m2) == expected, (m1, m2)
+            outcomes.append(expected)
+        assert 60 < sum(outcomes) < 180
+
+    def test_relabelled_copy_has_the_same_code(self):
+        rng = random.Random(43)
+        loop = CombinatorialMap((1, 0), (1, 0))
+        for _ in range(300):
+            m = random_map(rng, rng.randrange(0, 7))
+            if rng.random() < 0.3:
+                m = _disjoint_union(m, rng.choice([loop, interlaced_pair(), m]))
+            p = rng.sample(range(m.num_half_edges), m.num_half_edges)
+            assert _canonical_code(_relabelled(m, p)) == _canonical_code(m)
+
+    @pytest.mark.slow
+    def test_census_of_maps_up_to_six_half_edges(self):
+        # brute force: the least relabelling of each map over all permutations
+        for size, num_maps, num_classes in ((2, 2, 2), (4, 72, 8), (6, 10800, 34)):
+            inverses = [
+                (p, tuple(sorted(range(size), key=p.__getitem__)))
+                for p in itertools.permutations(range(size))
+            ]
+            by_code, by_brute_force = {}, {}
+            maps = list(_all_maps(size))
+            for m in maps:
+                least = min(
+                    (
+                        tuple([p[m.sigma[q[h]]] for h in range(size)]),
+                        tuple([p[m.alpha[q[h]]] for h in range(size)]),
+                    )
+                    for p, q in inverses
+                )
+                code = _canonical_code(m)
+                by_code.setdefault(code, set()).add(least)
+                by_brute_force.setdefault(least, set()).add(code)
+            assert len(maps) == num_maps
+            assert len(by_code) == len(by_brute_force) == num_classes
+            assert all(len(v) == 1 for v in by_code.values())
+            assert all(len(v) == 1 for v in by_brute_force.values())

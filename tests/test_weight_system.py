@@ -297,9 +297,12 @@ class TestQuadruples:
         assert len(quadruples) == count
         assert hashlib.sha256(repr(quadruples).encode()).hexdigest()[:16] == digest
 
-    def test_order_too_small_rejected(self):
+    def test_orders_below_two_have_no_quadruples(self):
+        assert generate_4T_quadruples(0) == generate_4T_quadruples(1) == ()
+        assert quadruple_vectors(0) == quadruple_vectors(1) == []
+        assert check_4T(1) == {"n": 1, "quadruples": 0, "violations": 0, "violations_list": []}
         with pytest.raises(ValueError):
-            generate_4T_quadruples(1)
+            generate_4T_quadruples(-1)
 
 
 class TestCheck4T:
