@@ -32,6 +32,11 @@ VIOLATION_ERROR = 2
 # order 8, and the exact quotient faster still, into hours.
 MAX_ORDER = 7
 
+# Highest order of a prime factor that poly evaluates.  A prime factor of
+# order k walks 2^k subsets: 0.45 s at order 16, 1.9 s at 18 and 8.9 s at 20
+# (2-CPU machine, CPython 3.11), about x4.5 per two orders, so hours by 30.
+MAX_POLY_FACTOR_ORDER = 20
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
@@ -124,6 +129,13 @@ def _print(payload: dict, text: str, as_json: bool) -> None:
 
 def _cmd_poly(args) -> int:
     canon = ChordDiagram.parse(args.diagram).canonical()
+    largest = max((factor.order for factor in canon.join_decompose()), default=0)
+    if largest > MAX_POLY_FACTOR_ORDER:
+        raise SystemExit((
+            USAGE_ERROR,
+            f"pdgenus poly: a prime factor of order {largest} is above the limit of "
+            f"{MAX_POLY_FACTOR_ORDER}; its polynomial would walk 2^{largest} subsets",
+        ))
     poly = pd_genus_polynomial(canon)
     payload = {
         "diagram": list(canon.word),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .maps import CombinatorialMap
 
@@ -65,14 +65,7 @@ class ChordDiagram:
             return cls(int(tok) for tok in tokens)
         except ValueError:
             pass
-        chars = [ch for ch in text if not ch.isspace()]
-        labels: dict[str, int] = {}
-        word = []
-        for ch in chars:
-            if ch not in labels:
-                labels[ch] = len(labels) + 1
-            word.append(labels[ch])
-        return cls(word)
+        return cls(normalize_labels([ch for ch in text if not ch.isspace()]))
 
     @classmethod
     def from_json(cls, data: dict) -> ChordDiagram:
@@ -231,9 +224,9 @@ def _interlace_components(matrix: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def normalize_labels(word: Sequence[int]) -> tuple[int, ...]:
+def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
     """Relabel a word by first occurrence: 1, 2, 3, ... in reading order."""
-    relabel: dict[int, int] = {}
+    relabel: dict[Hashable, int] = {}
     return tuple([relabel.setdefault(label, len(relabel) + 1) for label in word])
 
 
@@ -322,16 +315,8 @@ class MultiCircleDiagram:
         """The single-circle case back as an ordinary chord diagram."""
         if len(self.circles) != 1:
             raise ValueError(f"diagram lives on {len(self.circles)} circles, not one")
-        mate = {a: b for a, b in self.pairing}
-        mate.update({b: a for a, b in self.pairing})
-        labels: dict[int, int] = {}
-        word = []
-        for h in self.circles[0]:
-            key = min(h, mate[h])
-            if key not in labels:
-                labels[key] = len(labels) + 1
-            word.append(labels[key])
-        return ChordDiagram(word)
+        chord_of = {h: i for i, pair in enumerate(self.pairing) for h in pair}
+        return ChordDiagram(normalize_labels([chord_of[h] for h in self.circles[0]]))
 
     def to_json(self) -> dict:
         return {
@@ -405,14 +390,9 @@ def product(
             raise CutOutOfRangeError(f"cut {cut} outside gaps 0..{len(d.word)}")
     cut1 %= max(len(d1.word), 1)
     cut2 %= max(len(d2.word), 1)
-    offset = max(d1.word, default=0) + 1
-    relabel: dict[int, int] = {}
-    spliced = []
-    for x in d2.word[cut2:] + d2.word[:cut2]:
-        if x not in relabel:
-            relabel[x] = offset + len(relabel)
-        spliced.append(relabel[x])
-    return ChordDiagram(d1.word[:cut1] + tuple(spliced) + d1.word[cut1:])
+    offset = max(d1.word, default=0)
+    spliced = tuple([offset + x for x in normalize_labels(d2.word[cut2:] + d2.word[:cut2])])
+    return ChordDiagram(d1.word[:cut1] + spliced + d1.word[cut1:])
 
 
 def caravan(k: int, g: int) -> ChordDiagram:

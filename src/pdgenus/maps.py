@@ -8,11 +8,10 @@ the orbits of ``alpha``, and boundary components the orbits of
 orbit count.  The rotation-system encoding makes every represented
 surface orientable.
 
-A map's ``sigma`` and ``alpha`` never change after construction:
-partial duality and slides return new maps.  A map does fill private
-caches on first use (its vertex cycles, connected components and
-boundary-walk data) with values that depend only on the map, so a second
-fill stores the same value.  Use from several threads is untested.
+A map is an immutable value: construction validates ``sigma`` and
+``alpha`` and computes everything derived from them (vertex cycles,
+connected components and the data of the boundary walks) once, and
+nothing changes afterwards.  Partial duality and slides return new maps.
 """
 
 from __future__ import annotations
@@ -89,7 +88,10 @@ def _discover(sigma: Sequence[int], alpha: Sequence[int], start: int) -> dict[in
 class CombinatorialMap:
     """An oriented ribbon graph on the half-edge set ``0..2e-1``."""
 
-    __slots__ = ("sigma", "alpha", "edges", "_edge_of", "_vertices", "_components", "_walk")
+    __slots__ = (
+        "sigma", "alpha", "edges", "_edge_of", "_vertices", "_components", "_face_step",
+        "_edge_bits", "_vertex_masks",
+    )
 
     def __init__(self, sigma: Iterable[int], alpha: Iterable[int]) -> None:
         sigma = tuple(sigma)
@@ -117,9 +119,20 @@ class CombinatorialMap:
         for i, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = i
         self._edge_of = tuple(edge_of)
-        self._vertices: tuple[tuple[int, ...], ...] | None = None
-        self._components: tuple[tuple[int, ...], ...] | None = None
-        self._walk: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
+        self._vertices = _cycles(sigma)
+        seen: set[int] = set()
+        components = []
+        for start in range(len(sigma)):
+            if start not in seen:
+                component = _discover(sigma, alpha, start)
+                seen.update(component)
+                components.append(tuple(sorted(component)))
+        self._components = tuple(components)
+        # The boundary walks step by sigma∘alpha and test each half-edge's edge
+        # bit; a vertex's edge mask is the sum (the union) of its distinct bits.
+        self._face_step = tuple(sigma[a] for a in alpha)
+        bits = self._edge_bits = tuple(1 << edge for edge in edge_of)
+        self._vertex_masks = tuple(sum({bits[h] for h in cyc}) for cyc in self._vertices)
 
     # -- basic counting -------------------------------------------------
 
@@ -136,41 +149,31 @@ class CombinatorialMap:
         return self._edge_of[half_edge]
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        if self._vertices is None:
-            self._vertices = _cycles(self.sigma)
         return self._vertices
 
     def boundary_components(self) -> tuple[tuple[int, ...], ...]:
-        comp = tuple(self.sigma[a] for a in self.alpha)
-        return _cycles(comp)
+        return _cycles(self._face_step)
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the group generated by sigma and alpha, sorted by minimum."""
-        if self._components is None:
-            seen: set[int] = set()
-            comps = []
-            for start in range(len(self.sigma)):
-                if start not in seen:
-                    comp = _discover(self.sigma, self.alpha, start)
-                    seen.update(comp)
-                    comps.append(tuple(sorted(comp)))
-            self._components = tuple(comps)
         return self._components
 
     def counts(self) -> tuple[int, int, int, int]:
         """(v, e, f, c): vertices, edges, boundary components, connected components."""
-        v = len(self.vertices())
         f = len(self.boundary_components())
-        return (v, len(self.edges), f, len(self.connected_components()))
+        return (len(self._vertices), len(self.edges), f, len(self._components))
 
     def genus(self) -> int:
-        """Total genus, summed over connected components.
+        """Total genus, summed over connected components."""
+        return self._euler_genus(len(self._vertices), len(self.boundary_components()))
+
+    def _euler_genus(self, v: int, f: int) -> int:
+        """The total genus of a map with this map's e and c and the given v and f.
 
         Per component, 2 - 2g = v - e + f; the total is c - (v - e + f)/2.
         The parity assertion cannot fire for a validated orientable map.
         """
-        v, e, f, c = self.counts()
-        double = 2 * c - (v - e + f)
+        double = 2 * len(self._components) - (v - len(self.edges) + f)
         assert double % 2 == 0 and double >= 0, "odd or negative Euler defect"
         return double // 2
 
@@ -203,10 +206,9 @@ class CombinatorialMap:
         cross-check in the tests.
         """
         mask = self.subset_mask(subset)
-        sigma, alpha, edge_of = self.sigma, self.alpha, self._edge_of
+        sigma, alpha, bits = self.sigma, self.alpha, self._edge_bits
         new_sigma = tuple(
-            sigma[alpha[h]] if mask >> edge_of[h] & 1 else sigma[h]
-            for h in range(len(sigma))
+            sigma[alpha[h]] if mask & bits[h] else sigma[h] for h in range(len(sigma))
         )
         return CombinatorialMap(new_sigma, alpha)
 
@@ -222,8 +224,7 @@ class CombinatorialMap:
         circle.  Equals v(partial_dual(A)) but is computed independently.
         """
         mask = self.subset_mask(subset)
-        sigma = self.sigma
-        step, bits, vertex_masks = self._walk_data()
+        sigma, step, bits = self.sigma, self._face_step, self._edge_bits
         seen = [False] * len(sigma)
         count = 0
         for start, bit in enumerate(bits):
@@ -236,50 +237,21 @@ class CombinatorialMap:
                 h = step[h]
                 while not mask & bits[h]:
                     h = sigma[h]
-        return count + sum(1 for vertex_mask in vertex_masks if not mask & vertex_mask)
+        return count + sum(1 for vertex_mask in self._vertex_masks if not mask & vertex_mask)
 
-    def _walk_data(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """``sigma∘alpha``, the edge bit of each half-edge and the edge mask of each vertex."""
-        if self._walk is None:
-            bits = tuple(1 << edge for edge in self._edge_of)
-            # the sum of a vertex's distinct edge bits is their union
-            vertex_masks = tuple(sum({bits[h] for h in cyc}) for cyc in self.vertices())
-            self._walk = (tuple(self.sigma[a] for a in self.alpha), bits, vertex_masks)
-        return self._walk
-
-    def genus_of_partial_dual(
-        self,
-        subset: EdgeSubset | Iterable[int],
-        boundary_counts: Sequence[int] | None = None,
-    ) -> int:
+    def genus_of_partial_dual(self, subset: EdgeSubset | Iterable[int]) -> int:
         """Genus of the partial dual without constructing it.
 
         Uses v(G^A) = bc(A) and f(G^A) = bc(complement of A) together with
-        the invariance of e and c under partial duality.  A caller that
-        needs every subset passes ``boundary_counts``, the value of
-        ``spanning_boundary_count`` for every mask, and the two walks
-        become lookups; a bitmask is then checked against the table alone,
-        which must have ``1 << e`` entries.  Exhaustive agreement with the
-        explicit construction is enforced by the test suite before
-        anything relies on this path.
+        the invariance of e and c under partial duality.  Exhaustive
+        agreement with the explicit construction is enforced by the test
+        suite before anything relies on this path.
         """
-        e = len(self.edges)
-        full = (1 << e) - 1
-        if boundary_counts is None:
-            mask = self.subset_mask(subset)
-            v = self.spanning_boundary_count(mask)
-            f = self.spanning_boundary_count(full ^ mask)
-        else:
-            mask = subset if isinstance(subset, int) else self.subset_mask(subset)
-            if not 0 <= mask < len(boundary_counts) == 1 << e:
-                raise EdgeOutOfRangeError(
-                    f"subset {mask:#x} outside a table of {len(boundary_counts)} "
-                    f"boundary counts for {e} edges"
-                )
-            v, f = boundary_counts[mask], boundary_counts[full ^ mask]
-        double = 2 * len(self.connected_components()) - (v - e + f)
-        assert double % 2 == 0 and double >= 0, "odd or negative Euler defect"
-        return double // 2
+        mask = self.subset_mask(subset)
+        full = (1 << len(self.edges)) - 1
+        return self._euler_genus(
+            self.spanning_boundary_count(mask), self.spanning_boundary_count(full ^ mask)
+        )
 
     # -- edge slides ----------------------------------------------------
 

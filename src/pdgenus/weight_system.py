@@ -47,12 +47,11 @@ def _genus_distribution(m: CombinatorialMap) -> IntPolynomial:
     if e == 0:
         counts[0] = 1  # the empty map: one subset, no surface
     else:
-        # One boundary walk per subset serves as v for A and as f for A^c.
         # G^(A^c) is the Euler dual of G^A, of the same genus, so one genus
-        # per complementary pair: the subsets without the top edge.
-        bc = [m.spanning_boundary_count(mask) for mask in range(1 << e)]
+        # per complementary pair: the subsets without the top edge.  Its two
+        # boundary walks, of A and of A^c, then visit every subset once.
         for mask in range(1 << (e - 1)):
-            counts[m.genus_of_partial_dual(mask, bc)] += 2
+            counts[m.genus_of_partial_dual(mask)] += 2
     return IntPolynomial(counts)
 
 

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from pdgenus import cli
+from pdgenus import cli, weight_system
 from pdgenus.cli import main
+from pdgenus.polynomials import IntPolynomial
 
 
 def run(capsys, *argv):
@@ -110,6 +111,27 @@ class TestOrderLimit:
         code, out, _ = run(capsys, "--json", *argv.split(), "--force")
         assert code == 0
         assert out.startswith(expected)
+
+
+class TestPolyFactorLimit:
+    def test_prime_factor_above_limit_exits_one_before_any_walk(self, capsys, monkeypatch):
+        def no_walk(m):
+            raise AssertionError("walk started above the factor limit")
+
+        weight_system._gamma_of_word.cache_clear()
+        monkeypatch.setattr(cli, "MAX_POLY_FACTOR_ORDER", 2)
+        monkeypatch.setattr(weight_system, "_genus_distribution", no_walk)
+        code, out, err = run(capsys, "poly", "--json", "1 2 3 1 2 3")
+        assert code == 1
+        assert out == ""
+        assert "prime factor of order 3 is above the limit of 2" in err
+
+    def test_sum_of_small_factors_above_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_POLY_FACTOR_ORDER", 2)
+        code, out, _ = run(capsys, "poly", "1 2 1 2 3 4 3 4 5 6 5 6")
+        assert code == 0
+        pair = IntPolynomial([2, 2])  # the interlaced pair
+        assert out.strip() == str(pair * pair * pair)
 
 
 class TestEnum:

@@ -1,4 +1,5 @@
-"""Source-level guards of the package: standard library only, no eval, no floats."""
+"""Source-level guards of the package: standard library only, no eval, no floats,
+no lazily filled map attributes."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pdgenus
+from pdgenus import maps
 
 MODULES = sorted(Path(pdgenus.__file__).parent.glob("*.py"))
 
@@ -64,3 +66,20 @@ def test_all_lists_exactly_the_imported_names():
     assert set(pdgenus.__all__) == imported
     assert len(pdgenus.__all__) == len(imported)
     assert all(hasattr(pdgenus, name) for name in pdgenus.__all__)
+
+
+def test_a_map_sets_its_attributes_only_at_construction():
+    # a map computes its derived data in __init__ and keeps no lazy caches
+    tree = _tree(Path(maps.__file__))
+    (cls,) = [n for n in tree.body if getattr(n, "name", None) == "CombinatorialMap"]
+    methods = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name != "__init__"]
+    assigned = [
+        f"{method.name}: self.{node.attr}"
+        for method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert methods and assigned == []
