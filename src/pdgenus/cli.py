@@ -37,6 +37,12 @@ MAX_ORDER = 7
 # (2-CPU machine, CPython 3.11), about x4.5 per two orders, so hours by 30.
 MAX_POLY_FACTOR_ORDER = 20
 
+# Most chords in the diagram words of one command (both factors of a
+# product).  Canonicalizing a word takes time quadratic in its chords: at
+# 1 600 chords poly, product, slide and interlace take about 2 s at most
+# (2-CPU machine, CPython 3.11).
+MAX_WORD_CHORDS = 1600
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
@@ -127,8 +133,20 @@ def _print(payload: dict, text: str, as_json: bool) -> None:
         print(text)
 
 
+def _parse_words(*texts: str) -> list[ChordDiagram]:
+    """The diagrams of word arguments, refused above ``MAX_WORD_CHORDS`` chords in all."""
+    diagrams = [ChordDiagram.parse(text) for text in texts]
+    chords = sum(d.order for d in diagrams)
+    if chords > MAX_WORD_CHORDS:
+        raise ValueError(
+            f"diagram words with {chords} chords are above the limit of {MAX_WORD_CHORDS}"
+        )
+    return diagrams
+
+
 def _cmd_poly(args) -> int:
-    canon = ChordDiagram.parse(args.diagram).canonical()
+    (diagram,) = _parse_words(args.diagram)
+    canon = diagram.canonical()
     largest = max((factor.order for factor in canon.join_decompose()), default=0)
     if largest > MAX_POLY_FACTOR_ORDER:
         raise SystemExit((
@@ -147,7 +165,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    diagram = ChordDiagram.parse(args.diagram)
+    (diagram,) = _parse_words(args.diagram)
     chords = set()
     if args.chords:
         chords = {int(tok) for tok in args.chords.split(",") if tok}
@@ -169,7 +187,8 @@ def _cmd_genus(args) -> int:
         with open(args.map, "r", encoding="utf-8") as fh:
             m = CombinatorialMap.from_text(fh.read())
     else:
-        m = ChordDiagram.parse(args.diagram).to_map()
+        (diagram,) = _parse_words(args.diagram)
+        m = diagram.to_map()
     v, e, f, c = m.counts()
     payload = {"genus": m.genus(), "v": v, "e": e, "f": f, "c": c}
     _print(payload, str(m.genus()), args.json)
@@ -262,16 +281,14 @@ def _cmd_product(args) -> int:
         cut1, cut2 = (int(tok) for tok in args.cuts.split(","))
     except ValueError:
         raise SystemExit((USAGE_ERROR, "pdgenus product: --cuts expects two integers i,j"))
-    result = product(
-        ChordDiagram.parse(args.d1), ChordDiagram.parse(args.d2), cut1, cut2
-    )
+    result = product(*_parse_words(args.d1, args.d2), cut1, cut2)
     payload = {"word": list(result.word), "canonical": list(result.canonical().word)}
     _print(payload, str(result), args.json)
     return 0
 
 
 def _cmd_slide(args) -> int:
-    diagram = ChordDiagram.parse(args.diagram)
+    (diagram,) = _parse_words(args.diagram)
     m = diagram.to_map()
     edge = next(
         (i for i, (a, _) in enumerate(m.edges) if diagram.word[a] == args.along), None
@@ -286,7 +303,7 @@ def _cmd_slide(args) -> int:
 
 
 def _cmd_interlace(args) -> int:
-    diagram = ChordDiagram.parse(args.diagram)
+    (diagram,) = _parse_words(args.diagram)
     matrix = diagram.interlace_graph()
     sequence = diagram.interlace_sequence()
     payload = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .maps import CombinatorialMap
 
@@ -95,7 +95,7 @@ class ChordDiagram:
     def canonical(self) -> ChordDiagram:
         """Relabel by first occurrence and take the lex-least of all rotations."""
         if self._canonical_word is None:
-            self._canonical_word = min(_rotations(self.word))
+            self._canonical_word = _least_rotation(self.word)
         if self._canonical_word == self.word:
             return self
         return _canonical_diagram(self._canonical_word)
@@ -154,32 +154,15 @@ class ChordDiagram:
 
         Rows and columns follow ``labels()``, the order of first occurrence.
         """
-        index: dict[int, int] = {}
-        spans: list[list[int]] = []
-        for position, label in enumerate(self.word):
-            if label in index:
-                spans[index[label]].append(position)
-            else:
-                index[label] = len(spans)
-                spans.append([position])
-        n = len(spans)
-        matrix = [[0] * n for _ in range(n)]
-        for i in range(n):
-            a, b = spans[i]
-            for j in range(i + 1, n):
-                c, d = spans[j]  # a < c: chord j opens after chord i
-                if c < b < d:
-                    matrix[i][j] = matrix[j][i] = 1
-        return matrix
+        masks = _interlace_masks(self.word)
+        return [[mask >> j & 1 for j in range(len(masks))] for mask in masks]
 
     def interlace_sequence(self) -> InterlaceSequence:
-        matrix = self.interlace_graph()
-        counts = tuple(sorted(sum(row) for row in matrix))
-        factors = []
-        for component in _interlace_components(matrix):
-            factors.append(tuple(sorted(sum(matrix[i]) for i in component)))
+        masks = _interlace_masks(self.word)
+        degrees = [mask.bit_count() for mask in masks]
+        factors = [tuple(sorted(degrees[i] for i in c)) for c in _components(masks)]
         factors.sort(key=lambda f: (len(f), f))
-        return InterlaceSequence(counts, tuple(factors))
+        return InterlaceSequence(tuple(sorted(degrees)), tuple(factors))
 
     def join_decompose(self) -> list[ChordDiagram]:
         """Maximal factorization as an iterated connected sum.
@@ -190,38 +173,51 @@ class ChordDiagram:
         the interlace graph, each read off in circle order.  Factors are
         canonical and sorted by order, then word.
         """
-        components = _interlace_components(self.interlace_graph())
+        components = list(_components(_interlace_masks(self.word)))
         if len(components) == 1:
             return [self.canonical()]  # prime
         labels = self.labels()
-        factors = []
-        for component in components:
-            keep = {labels[i] for i in component}
-            sub = tuple([x for x in self.word if x in keep])
-            factors.append(_canonical_diagram(min(_rotations(sub))))
+        part = {labels[i]: k for k, component in enumerate(components) for i in component}
+        subwords: list[list[int]] = [[] for _ in components]
+        for label in self.word:
+            subwords[part[label]].append(label)
+        factors = [_canonical_diagram(_least_rotation(tuple(sub))) for sub in subwords]
         factors.sort(key=lambda d: (d.order, d.word))
         return factors
 
 
-def _interlace_components(matrix: list[list[int]]) -> list[list[int]]:
-    """Connected components of a graph given by its adjacency matrix, each sorted."""
-    n = len(matrix)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in range(n):
-                if matrix[x][y] and not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+def _interlace_masks(word: Sequence[Hashable]) -> list[int]:
+    """The interlace graph as one bitmask per chord, in first-occurrence order.
+
+    Chord j interlaces chord i exactly when j is open at one of i's two endpoints
+    but not the other: ``masks[i]`` XORs the open chords at i's endpoints.
+    """
+    index: dict[Hashable, int] = {}
+    masks: list[int] = []
+    open_chords = 0
+    for label in word:
+        i = index.setdefault(label, len(masks))
+        if i == len(masks):
+            masks.append(open_chords)
+        else:
+            masks[i] ^= open_chords ^ 1 << i
+        open_chords ^= 1 << i
+    return masks
+
+
+def _components(masks: list[int]) -> Iterator[list[int]]:
+    """Connected components of a graph of bitmask rows, each a list of its vertices, by BFS."""
+    unseen = (1 << len(masks)) - 1
+    while unseen:
+        component, frontier = [], unseen & -unseen
+        unseen ^= frontier
+        while frontier:
+            low = frontier & -frontier
+            component.append(low.bit_length() - 1)
+            new = masks[component[-1]] & unseen
+            unseen ^= new
+            frontier ^= low | new
+        yield component
 
 
 def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
@@ -230,9 +226,10 @@ def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
     return tuple([relabel.setdefault(label, len(relabel) + 1) for label in word])
 
 
-def _rotations(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The first-occurrence-normalized forms of every rotation of a word."""
-    return [normalize_labels(word[s:] + word[:s]) for s in range(len(word))] or [()]
+def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least first-occurrence-normalized rotation of a word, one rotation held at a time."""
+    rotations = (normalize_labels(word[s:] + word[:s]) for s in range(len(word)))
+    return min(rotations, default=())
 
 
 def _canonical_diagram(word: tuple[int, ...]) -> ChordDiagram:
@@ -441,7 +438,7 @@ def _classes(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...],
             word = (1,) + s[:j] + (1,) + s[j:]
             if word in table:
                 continue
-            rotations = _rotations(word)
+            rotations = [normalize_labels(word[k:] + word[:k]) for k in range(2 * n)]
             for rotation in rotations:
                 table[rotation] = len(canonical)
             canonical.append(min(rotations))

@@ -333,6 +333,14 @@ class CombinatorialMap:
         sigma_cycles = _parse_cycle_text(parts["sigma"])
         mentioned = [x for cyc in alpha_cycles + sigma_cycles for x in cyc]
         size = max(mentioned) + 1 if mentioned else 0
+        # Every half-edge of a map lies in an alpha cycle, so a larger id
+        # proves a fixed point before 0..size-1 is allocated.
+        named = sum(len(cyc) for cyc in alpha_cycles)
+        if size > named:
+            raise FixedPointError(
+                f"ids reach {size - 1} but alpha's cycles name only {named} half-edges, "
+                "so alpha fixes one"
+            )
         return cls(
             _perm_from_cycles(sigma_cycles, size),
             _perm_from_cycles(alpha_cycles, size),

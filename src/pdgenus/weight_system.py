@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 from .diagrams import (
     ChordDiagram,
     _canonical_diagram,
-    _rotations,
+    _interlace_masks,
+    _least_rotation,
     class_table,
     enumerate_diagrams,
     normalize_labels,
@@ -70,7 +71,7 @@ def _gamma_of_word(word: tuple[int, ...]) -> IntPolynomial:
     factors = diagram.join_decompose()
     if len(factors) > 1:
         return math.prod(_gamma_of_word(f.word) for f in factors)
-    mirror = min(_rotations(word[::-1]))
+    mirror = _least_rotation(word[::-1])
     if mirror < word:
         return _gamma_of_word(mirror)
     return _genus_distribution(diagram.to_map())
@@ -281,17 +282,13 @@ def check_multiplicativity(n1: int, n2: int) -> dict:
     }
 
 
-def _graph_class_key(matrix: list[list[int]]) -> tuple[int, ...]:
+def _graph_class_key(masks: list[int]) -> tuple[int, ...]:
     """Canonical form of a small graph: lex-least adjacency bits over all relabellings."""
-    n = len(matrix)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        bits = tuple(
-            matrix[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n)
-        )
-        if best is None or bits < best:
-            best = bits
-    return best if best is not None else ()
+    n = len(masks)
+    return min(
+        tuple(masks[p[i]] >> p[j] & 1 for i in range(n) for j in range(i + 1, n))
+        for p in itertools.permutations(range(n))
+    )
 
 
 def check_intersection_graph_invariance(n: int) -> dict:
@@ -302,7 +299,7 @@ def check_intersection_graph_invariance(n: int) -> dict:
     """
     classes: dict[tuple[int, ...], list[ChordDiagram]] = {}
     for d in enumerate_diagrams(n):
-        classes.setdefault(_graph_class_key(d.interlace_graph()), []).append(d)
+        classes.setdefault(_graph_class_key(_interlace_masks(d.word)), []).append(d)
     violations = []
     summaries = []
     for key in sorted(classes):

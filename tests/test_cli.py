@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pdgenus import cli, weight_system
+from pdgenus import cli, diagrams, weight_system
 from pdgenus.cli import main
 from pdgenus.polynomials import IntPolynomial
 
@@ -134,6 +137,40 @@ class TestPolyFactorLimit:
         assert out.strip() == str(pair * pair * pair)
 
 
+class TestWordLimit:
+    WORD_COMMANDS = [
+        ["poly"],
+        ["interlace"],
+        ["genus"],
+        ["dual", "--chords", "1"],
+        ["slide", "--move", "0", "--along", "2"],
+    ]
+
+    @pytest.mark.parametrize("command", WORD_COMMANDS, ids=lambda c: c[0])
+    def test_word_above_limit_exits_one_before_any_work(self, capsys, monkeypatch, command):
+        def no_canonical(word):
+            raise AssertionError("canonicalization started above the word limit")
+
+        monkeypatch.setattr(cli, "MAX_WORD_CHORDS", 3)
+        monkeypatch.setattr(diagrams, "_least_rotation", no_canonical)
+        code, out, err = run(capsys, command[0], "--json", "1 2 3 4 1 2 3 4", *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("pdgenus: error: ")
+        assert "4 chords are above the limit of 3" in err
+
+    @pytest.mark.parametrize("command", WORD_COMMANDS, ids=lambda c: c[0])
+    def test_word_at_limit_runs(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "MAX_WORD_CHORDS", 3)
+        assert run(capsys, command[0], "1 2 3 1 2 3", *command[1:])[0] == 0
+
+    def test_product_counts_the_chords_of_both_words(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_WORD_CHORDS", 3)
+        code, out, err = run(capsys, "product", "1 2 1 2", "1 2 1 2")
+        assert (code, out) == (1, "")
+        assert "4 chords are above the limit of 3" in err
+        assert run(capsys, "product", "1 2 1 2", "1 1")[0] == 0
+
+
 class TestEnum:
     def test_count_line(self, capsys):
         code, out, _ = run(capsys, "enum", "3")
@@ -194,6 +231,38 @@ class TestGenus:
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, "genus", "abab")
         assert (code, out.strip()) == (0, "1")
+
+    def test_huge_half_edge_id_fails_before_allocating(self, tmp_path):
+        # Run in a child whose address space is capped at 1 GiB, so that a
+        # parser that allocates up to the largest id fails with MemoryError
+        # instead of exhausting the machine.
+        path = tmp_path / "map.txt"
+        path.write_text("sigma: (0 1)\nalpha: (0 1000000000000)\n")
+        script = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pdgenus.cli import main
+from pdgenus.maps import CombinatorialMap, FixedPointError
+text = open(sys.argv[1]).read()
+try:
+    CombinatorialMap.from_text(text)
+    raised = None
+except FixedPointError:
+    raised = "FixedPointError"
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["genus", "--map", sys.argv[1]])
+print(json.dumps([raised, code, out.getvalue(), err.getvalue()]))
+"""
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        raised, code, out, err = json.loads(child.stdout)
+        assert (raised, code, out) == ("FixedPointError", 1, "")
+        assert err.startswith("pdgenus: error:")
 
     def test_word_and_map_are_exclusive(self, capsys, tmp_path):
         code, out, _ = run(capsys, "genus", "1 1", "--map", str(tmp_path / "m.txt"))

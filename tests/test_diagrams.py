@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,18 @@ class TestCanonicalForm:
             for d in enumerate_diagrams(n):
                 assert d.canonical().word == d.word
                 assert d.canonical().canonical() == d.canonical()
+
+    def test_canonical_form_holds_one_rotation_at_a_time(self):
+        pairs = [x for k in range(125) for x in (2 * k + 1, 2 * k + 2, 2 * k + 1, 2 * k + 2)]
+        d = ChordDiagram(pairs[3:] + pairs[:3])  # 250 chords, not in canonical position
+        tracemalloc.start()
+        try:
+            word = d.canonical().word
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word == tuple(pairs)
+        assert peak < 1 << 20
 
     def test_all_rotations_agree(self):
         rng = random.Random(1)
@@ -303,6 +316,21 @@ class TestJoinDecompose:
                 matrix, factors = _factors_by_endpoint_scans(d)
                 assert d.interlace_graph() == matrix, d
                 assert [f.word for f in d.join_decompose()] == factors, d
+
+    def test_random_connected_sums_match_endpoint_scans(self):
+        # Up to about 100 chords, so the interlace bitmasks run past 64 bits.
+        rng = random.Random(11)
+        for _ in range(400):
+            d, order = ChordDiagram(()), rng.randrange(101)
+            while d.order < order:
+                piece = rng.choice(enumerate_diagrams(rng.randrange(1, 7)))
+                d = product(d, piece, rng.randrange(len(d.word) + 1), rng.randrange(len(piece.word)))
+            shift = rng.randrange(len(d.word) or 1)
+            d = ChordDiagram(d.word[shift:] + d.word[:shift])
+            matrix, factors = _factors_by_endpoint_scans(d)
+            assert d.interlace_graph() == matrix, d
+            assert [f.word for f in d.join_decompose()] == factors, d
+            assert d.interlace_sequence().counts == tuple(sorted(map(sum, matrix))), d
 
     def test_two_singles(self):
         assert P("1 1 2 2").join_decompose() == [P("1 1"), P("1 1")]

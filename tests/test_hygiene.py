@@ -1,5 +1,5 @@
 """Source-level guards of the package: standard library only, no eval, no floats,
-no lazily filled map attributes."""
+no lazily filled map attributes, every command-line word bounded."""
 
 import ast
 import sys
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pdgenus
-from pdgenus import maps
+from pdgenus import cli, maps
 
 MODULES = sorted(Path(pdgenus.__file__).parent.glob("*.py"))
 
@@ -83,3 +83,15 @@ def test_a_map_sets_its_attributes_only_at_construction():
         and node.value.id == "self"
     ]
     assert methods and assigned == []
+
+
+def test_cli_parses_words_only_in_the_bounded_helper():
+    # every word argument goes through _parse_words, which enforces MAX_WORD_CHORDS
+    callers = [
+        function.name
+        for function in ast.walk(_tree(Path(cli.__file__)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "parse"
+    ]
+    assert callers == ["_parse_words"]
