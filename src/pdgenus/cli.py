@@ -27,15 +27,16 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take about 1 s, 3.5 s and 40 s and at most 100 MB (2-CPU machine); the
-# class table grows by a factor 2n - 1 per order, to 2 027 025 words at
-# order 8, and the exact quotient faster still, into hours.
+# they take about 1 s, 3.5 s and 40 s and at most 100 MB (2-CPU machine); at
+# order 8 check4t takes about a minute and 220 MB, and the exact quotient
+# grows into hours.
 MAX_ORDER = 7
 
-# Highest order of a prime factor that poly evaluates.  A prime factor of
-# order k walks 2^k subsets: 0.45 s at order 16, 1.9 s at 18 and 8.9 s at 20
-# (2-CPU machine, CPython 3.11), about x4.5 per two orders, so hours by 30.
-MAX_POLY_FACTOR_ORDER = 20
+# Most subsets that poly walks: the sum of 2^k over the distinct prime
+# factors, of order k each (a mirror pair, walked once, is counted twice).
+# One prime factor of order 16, 18 or 20 takes 0.45 s, 1.9 s or 8.9 s
+# (2-CPU machine, CPython 3.11), about x4.5 per two orders.
+MAX_POLY_SUBSETS = 1 << 20
 
 # Most chords in the diagram words of one command (both factors of a
 # product).  Canonicalizing a word takes time quadratic in its chords: at
@@ -147,12 +148,12 @@ def _parse_words(*texts: str) -> list[ChordDiagram]:
 def _cmd_poly(args) -> int:
     (diagram,) = _parse_words(args.diagram)
     canon = diagram.canonical()
-    largest = max((factor.order for factor in canon.join_decompose()), default=0)
-    if largest > MAX_POLY_FACTOR_ORDER:
+    subsets = sum(1 << factor.order for factor in set(canon.join_decompose()))
+    if subsets > MAX_POLY_SUBSETS:
         raise SystemExit((
             USAGE_ERROR,
-            f"pdgenus poly: a prime factor of order {largest} is above the limit of "
-            f"{MAX_POLY_FACTOR_ORDER}; its polynomial would walk 2^{largest} subsets",
+            f"pdgenus poly: the prime factors would walk {subsets} subsets, above the "
+            f"limit of {MAX_POLY_SUBSETS}",
         ))
     poly = pd_genus_polynomial(canon)
     payload = {

@@ -10,6 +10,7 @@ order-4 census of 18.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -412,43 +413,57 @@ def caravan(k: int, g: int) -> ChordDiagram:
     return ChordDiagram(word)
 
 
-@lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-    """The class table of order n and the canonical word of each class id.
+def _insertions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every first-occurrence-normalized word of order n, in number order.
 
-    A normalized word of order n starts with chord 1.  Deleting both ends
-    of chord 1 and lowering every other label by one leaves a normalized
-    word of order n - 1, and every such word arises: the words of order n
-    are ``(1,) + s[:j] + (1,) + s[j:]``, where s is a key of the
-    order-(n-1) table with every label raised by one and j runs over its
-    2n - 1 gaps.
-    A word not yet in the table starts a new class: all its normalized
-    rotations join it, and their minimum is its canonical word.  Ids are
-    then renumbered in canonical-word order.
+    Deleting both ends of chord 1 from a normalized word of order n and
+    lowering the other labels by one leaves a normalized word of order
+    n - 1, and every such word arises.  So word ``k * (2n - 1) + j`` is
+    skeleton k of order n - 1, raised by one, with chord 1 at position 0
+    and its second end in gap j.
+    """
+    if n == 0:
+        yield ()
+        return
+    for s in _numbering(n - 1):
+        for j in range(2 * n - 1):
+            yield (1,) + s[:j] + (1,) + s[j:]
+
+
+@lru_cache(maxsize=None)
+def _numbering(n: int) -> dict[tuple[int, ...], int]:
+    """The number of every normalized word of order n, keyed with its labels raised by one."""
+    return {tuple([label + 1 for label in word]): k for k, word in enumerate(_insertions(n))}
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The class id of every word number of order n and the canonical word of each id.
+
+    A word whose id is unset starts a new class: all its normalized
+    rotations join it, and their minimum is its canonical word.  Rotation
+    r has skeleton ``r[1:j] + r[j+1:]`` and gap j - 1, where r[j] is the
+    second 1.  Ids are then renumbered in canonical-word order.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n == 0:
-        return {(): 0}, ((),)
-    table: dict[tuple[int, ...], int] = {}
+        return (0,), ((),)
+    numbering = _numbering(n - 1)
+    width = 2 * n - 1
+    ids = array("l", [-1]) * (len(numbering) * width)
     canonical: list[tuple[int, ...]] = []
-    for skeleton in _classes(n - 1)[0]:
-        s = tuple([label + 1 for label in skeleton])
-        for j in range(2 * n - 1):
-            word = (1,) + s[:j] + (1,) + s[j:]
-            if word in table:
-                continue
-            rotations = [normalize_labels(word[k:] + word[:k]) for k in range(2 * n)]
-            for rotation in rotations:
-                table[rotation] = len(canonical)
-            canonical.append(min(rotations))
+    for number, word in enumerate(_insertions(n)):
+        if ids[number] >= 0:
+            continue
+        rotations = [normalize_labels(word[k:] + word[:k]) for k in range(2 * n)]
+        for r in rotations:
+            j = r.index(1, 1)
+            ids[numbering[r[1:j] + r[j + 1 :]] * width + j - 1] = len(canonical)
+        canonical.append(min(rotations))
     order = sorted(range(len(canonical)), key=canonical.__getitem__)
-    renumber = [0] * len(order)
-    for new, old in enumerate(order):
-        renumber[old] = new
-    for word, old in table.items():
-        table[word] = renumber[old]
-    return table, tuple(canonical[old] for old in order)
+    renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    return tuple(map(renumber.__getitem__, ids)), tuple(canonical[old] for old in order)
 
 
 def class_table(n: int) -> dict[tuple[int, ...], int]:
@@ -456,16 +471,15 @@ def class_table(n: int) -> dict[tuple[int, ...], int]:
 
     The table has one entry per matching of 2n points, (2n-1)!! in all.
     Class ids index ``enumerate_diagrams(n)``, so they are ordered by
-    canonical word.  The dict is shared by every caller: do not mutate it.
+    canonical word.  It is built anew on each call.
     """
-    return _classes(n)[0]
+    return dict(zip(_insertions(n), _classes(n)[0]))
 
 
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int) -> tuple[ChordDiagram, ...]:
     """All chord diagrams of order n, canonical and sorted.
 
-    The i-th diagram is the class with id i in ``class_table(n)``.
-    Desk scale is n <= 7.
+    The i-th diagram is the class with id i.  Desk scale is n <= 7.
     """
     return tuple(_canonical_diagram(w) for w in _classes(n)[1])

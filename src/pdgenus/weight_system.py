@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -20,11 +21,11 @@ from typing import Callable, Sequence
 from .diagrams import (
     ChordDiagram,
     _canonical_diagram,
+    _classes,
     _interlace_masks,
     _least_rotation,
-    class_table,
+    _numbering,
     enumerate_diagrams,
-    normalize_labels,
     product,
 )
 from .maps import CombinatorialMap
@@ -110,24 +111,22 @@ def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     the alternating sum unchanged; the lesser variant is kept.  Duplicates
     are removed by class id; id i is the diagram ``enumerate_diagrams(n)[i]``.
 
-    Read from the partner of the free endpoint, with the free endpoint
-    deleted, the circle is ``(1,) + s`` where s is a key of
-    ``class_table(n - 1)`` with its labels raised by one, and every key
-    arises.  So the keys enumerate the distinct rests of the circle, each
-    once: the free endpoint's 2n slots are one table lookup each, and each
-    chord of s is a fixed chord.  Below order 2 there is no fixed chord,
-    so the tuple is empty; a negative order raises ``ValueError``.
+    Read from the partner of the free endpoint, the circle is chord 1 then
+    a skeleton of order n - 1, each once; a fixed chord at skeleton
+    positions r < s puts the free endpoint in gaps r, r + 1, s and s + 1
+    of the skeleton's row of class ids.  Below order 2 there is no fixed
+    chord, so the tuple is empty; a negative order raises ``ValueError``.
     """
-    table = class_table(n)
+    ids = _classes(n)[0]
+    width = 2 * n - 1
     keys: set[tuple[int, int, int, int]] = set()
-    for skeleton in class_table(n - 1) if n else ():
-        rest = (1,) + tuple([label + 1 for label in skeleton])
-        placed = [table[rest[:slot] + (1,) + rest[slot:]] for slot in range(2 * n)]
+    for k, skeleton in enumerate(_numbering(n - 1) if n else ()):
+        row = ids[k * width : (k + 1) * width]
         first: dict[int, int] = {}
-        for s, label in enumerate(rest):
+        for s, label in enumerate(skeleton):
             r = first.setdefault(label, s)
             if r != s:
-                four = (placed[r], placed[r + 1], placed[s], placed[s + 1])
+                four = (row[r], row[r + 1], row[s], row[s + 1])
                 keys.add(min(four, four[2:] + four[:2]))
     return tuple(sorted(keys))
 
@@ -222,16 +221,16 @@ def express_modulo_4T(
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
-    index = class_table(n)
+    canonical = _classes(n)[1]
     weight_systems = _weight_systems(n)
-    ids = [index[normalize_labels(b.word)] for b in basis]
+    ids = [bisect_left(canonical, b.canonical().word) for b in basis]
     values = RationalMatrix(
         ({i: w[b] for i, b in enumerate(ids) if b in w} for w in weight_systems),
         len(basis),
     )
     if values.rank() != len(basis):
         raise NotABasisError("basis is dependent modulo the four-term relations")
-    target = index[normalize_labels(diagram.word)]
+    target = bisect_left(canonical, diagram.canonical().word)
     solution = values.solve([w.get(target, 0) for w in weight_systems])
     if solution is None:
         raise NoSolutionError("target is outside the span of basis and relations")

@@ -116,21 +116,55 @@ class TestOrderLimit:
         assert out.startswith(expected)
 
 
-class TestPolyFactorLimit:
-    def test_prime_factor_above_limit_exits_one_before_any_walk(self, capsys, monkeypatch):
-        def no_walk(m):
-            raise AssertionError("walk started above the factor limit")
+    @pytest.mark.slow
+    def test_order_eight_has_no_violations_within_300_mb(self):
+        # the child prints its own peak RSS (KiB on Linux) after the report
+        script = (
+            "import resource, sys\n"
+            "from pdgenus.cli import main\n"
+            "code = main(['check4t', '8', '--force', '--json'])\n"
+            "sys.stdout.flush()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=1200,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == '{"n": 8, "quadruples": 945943, "violations": 0}\n'
+        assert int(child.stderr.split()[-1]) < 300 * 1024
 
+
+class TestPolyFactorLimit:
+    @staticmethod
+    def _no_walk(m):
+        raise AssertionError("walk started above the subset limit")
+
+    def test_prime_factor_above_limit_exits_one_before_any_walk(self, capsys, monkeypatch):
         weight_system._gamma_of_word.cache_clear()
-        monkeypatch.setattr(cli, "MAX_POLY_FACTOR_ORDER", 2)
-        monkeypatch.setattr(weight_system, "_genus_distribution", no_walk)
+        monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 4)
+        monkeypatch.setattr(weight_system, "_genus_distribution", self._no_walk)
         code, out, err = run(capsys, "poly", "--json", "1 2 3 1 2 3")
         assert code == 1
         assert out == ""
-        assert "prime factor of order 3 is above the limit of 2" in err
+        assert "would walk 8 subsets, above the limit of 4" in err
+
+    def test_distinct_factors_together_above_limit_exit_one_before_any_walk(
+        self, capsys, monkeypatch
+    ):
+        # an interlaced pair (4 subsets) and a 3-chord triangle (8): each fits alone
+        weight_system._gamma_of_word.cache_clear()
+        monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 8)
+        monkeypatch.setattr(weight_system, "_genus_distribution", self._no_walk)
+        code, out, err = run(capsys, "poly", "1 2 1 2 3 4 5 3 4 5")
+        assert code == 1
+        assert out == ""
+        assert "would walk 12 subsets, above the limit of 8" in err
 
     def test_sum_of_small_factors_above_limit_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_POLY_FACTOR_ORDER", 2)
+        # three equal factors: one walk of 4 subsets
+        monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 4)
         code, out, _ = run(capsys, "poly", "1 2 1 2 3 4 3 4 5 6 5 6")
         assert code == 0
         pair = IntPolynomial([2, 2])  # the interlaced pair

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+from pdgenus import diagrams
 from pdgenus.diagrams import (
     ChordDiagram,
     CutOutOfRangeError,
@@ -96,7 +101,7 @@ def _matchings(points):
     """All perfect matchings of an even point set, as tuples of pairs.
 
     The independent oracle for the class table, which is built by chord
-    insertion from the table one order below.
+    insertion from the numbering one order below.
     """
     if not points:
         yield ()
@@ -182,6 +187,40 @@ class TestClassTable:
         d = enumerate_diagrams(4)[7]
         assert d._canonical_word == d.word
         assert d.canonical() is d
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_word_number_is_skeleton_and_gap(self, n):
+        # word k * (2n - 1) + j: skeleton k, raised by one, with chord 1 at 0 and in gap j
+        skeletons = list(diagrams._insertions(n - 1))
+        words = list(diagrams._insertions(n))
+        assert len(set(words)) == len(words) == math.prod(range(1, 2 * n, 2))
+        for number, word in enumerate(words):
+            k, gap = divmod(number, 2 * n - 1)
+            j = word.index(1, 1)
+            assert (word[0], j) == (1, gap + 1)
+            assert tuple(label - 1 for label in word[1:j] + word[j + 1 :]) == skeletons[k]
+        raised = {tuple(label + 1 for label in s): k for k, s in enumerate(skeletons)}
+        assert list(diagrams._numbering(n - 1).items()) == list(raised.items())
+
+    def test_cold_order_six_quadruples_and_diagrams_peak_under_1_5_mib(self):
+        # a fresh interpreter, so that no class table or quadruple is cached
+        code = (
+            "import tracemalloc\n"
+            "from pdgenus.diagrams import enumerate_diagrams\n"
+            "from pdgenus.weight_system import generate_4T_quadruples\n"
+            "tracemalloc.start()\n"
+            "generate_4T_quadruples(6)\n"
+            "enumerate_diagrams(6)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        assert int(child.stdout) < 3 << 19
 
 
 class TestMapConversion:

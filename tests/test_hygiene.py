@@ -1,5 +1,6 @@
 """Source-level guards of the package: standard library only, no eval, no floats,
-no lazily filled map attributes, every command-line word bounded."""
+no lazily filled map attributes, every command-line word bounded, the word format
+kept behind ``diagrams``."""
 
 import ast
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pdgenus
-from pdgenus import cli, maps
+from pdgenus import cli, maps, weight_system
 
 MODULES = sorted(Path(pdgenus.__file__).parent.glob("*.py"))
 
@@ -95,3 +96,14 @@ def test_cli_parses_words_only_in_the_bounded_helper():
         if isinstance(node, ast.Attribute) and node.attr == "parse"
     ]
     assert callers == ["_parse_words"]
+
+
+def test_weight_system_leaves_the_word_format_to_diagrams():
+    # class ids come from the chord-insertion numbering, never from a word lookup
+    imported = {
+        alias.name
+        for node in ast.walk(_tree(Path(weight_system.__file__)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported and imported.isdisjoint({"class_table", "normalize_labels"})
