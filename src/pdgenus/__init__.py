@@ -18,7 +18,6 @@ from .diagrams import (
     OddLengthError,
     UnknownChordError,
     caravan,
-    class_table,
     enumerate_diagrams,
     from_map,
     partial_dual_diagram,
@@ -72,7 +71,6 @@ __all__ = [
     "check_4T",
     "check_intersection_graph_invariance",
     "check_multiplicativity",
-    "class_table",
     "dim_quotient",
     "enumerate_diagrams",
     "express_modulo_4T",

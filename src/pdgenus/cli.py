@@ -48,7 +48,7 @@ MAX_WORD_CHORDS = 1600
 class _CliParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit((USAGE_ERROR, f"{self.prog}: error: {message}"))
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,11 +150,10 @@ def _cmd_poly(args) -> int:
     canon = diagram.canonical()
     subsets = sum(1 << factor.order for factor in set(canon.join_decompose()))
     if subsets > MAX_POLY_SUBSETS:
-        raise SystemExit((
-            USAGE_ERROR,
-            f"pdgenus poly: the prime factors would walk {subsets} subsets, above the "
-            f"limit of {MAX_POLY_SUBSETS}",
-        ))
+        raise ValueError(
+            f"the prime factors would walk {subsets} subsets, above the limit of "
+            f"{MAX_POLY_SUBSETS}"
+        )
     poly = pd_genus_polynomial(canon)
     payload = {
         "diagram": list(canon.word),
@@ -178,7 +177,7 @@ def _cmd_dual(args) -> int:
     payload["counts"] = {"v": v, "e": e, "f": f, "c": c}
     lines = [f"circle {i}: " + " ".join(map(str, circle)) for i, circle in enumerate(dual.circles)]
     lines.append("pairing: " + " ".join(f"{a}-{b}({s})" for (a, b), s in zip(dual.pairing, dual.side)))
-    lines.append(f"genus: {m.genus()}  v={v} e={e} f={f} c={c}")
+    lines.append(f"genus: {payload['genus']}  v={v} e={e} f={f} c={c}")
     _print(payload, "\n".join(lines), args.json)
     return 0
 
@@ -192,23 +191,22 @@ def _cmd_genus(args) -> int:
         m = diagram.to_map()
     v, e, f, c = m.counts()
     payload = {"genus": m.genus(), "v": v, "e": e, "f": f, "c": c}
-    _print(payload, str(m.genus()), args.json)
+    _print(payload, str(payload["genus"]), args.json)
     return 0
 
 
 def _check_order(args) -> None:
     if args.n > MAX_ORDER and not args.force:
-        raise SystemExit((
-            USAGE_ERROR,
-            f"pdgenus {args.command}: order {args.n} is above the limit of {MAX_ORDER}, "
-            "beyond which runs take hours or gigabytes; pass --force to run it anyway",
-        ))
+        raise ValueError(
+            f"order {args.n} is above the limit of {MAX_ORDER}, beyond which runs "
+            "take hours or gigabytes; pass --force to run it anyway"
+        )
 
 
 def _cmd_enum(args) -> int:
     _check_order(args)
     if args.limit is not None and args.limit < 0:
-        raise SystemExit((USAGE_ERROR, f"pdgenus enum: --limit {args.limit} is negative"))
+        raise ValueError(f"--limit {args.limit} is negative")
     diagrams = enumerate_diagrams(args.n)
     shown = diagrams if args.limit is None else diagrams[: args.limit]
     payload = {
@@ -281,7 +279,7 @@ def _cmd_product(args) -> int:
     try:
         cut1, cut2 = (int(tok) for tok in args.cuts.split(","))
     except ValueError:
-        raise SystemExit((USAGE_ERROR, "pdgenus product: --cuts expects two integers i,j"))
+        raise ValueError("--cuts expects two integers i,j")
     result = product(*_parse_words(args.d1, args.d2), cut1, cut2)
     payload = {"word": list(result.word), "canonical": list(result.canonical().word)}
     _print(payload, str(result), args.json)
@@ -290,13 +288,10 @@ def _cmd_product(args) -> int:
 
 def _cmd_slide(args) -> int:
     (diagram,) = _parse_words(args.diagram)
-    m = diagram.to_map()
-    edge = next(
-        (i for i, (a, _) in enumerate(m.edges) if diagram.word[a] == args.along), None
-    )
-    if edge is None:
-        raise SystemExit((USAGE_ERROR, f"pdgenus slide: no chord labelled {args.along}"))
-    slid = m.slide(args.move, edge)
+    labels = diagram.labels()
+    if args.along not in labels:
+        raise ValueError(f"no chord labelled {args.along}")
+    slid = diagram.to_map().slide(args.move, labels.index(args.along))
     result = from_map(slid).to_diagram()
     payload = {"word": list(result.word), "canonical": list(result.canonical().word)}
     _print(payload, str(result.canonical()), args.json)
@@ -339,10 +334,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
         return USAGE_ERROR if exc.code else 0
     except (ValueError, OSError) as exc:
         print(f"pdgenus: error: {exc}", file=sys.stderr)

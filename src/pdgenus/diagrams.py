@@ -129,6 +129,8 @@ class ChordDiagram:
 
         Word positions become half-edges, sigma is the full rotation of
         the circle, and alpha pairs the two occurrences of each label.
+        Edges are sorted by their first half-edge, the chord's first
+        occurrence, so edge i is chord ``labels()[i]``.
         """
         n2 = len(self.word)
         sigma = tuple((i + 1) % n2 for i in range(n2))
@@ -365,12 +367,8 @@ def partial_dual_diagram(
     unknown = chord_set - set(labels)
     if unknown:
         raise UnknownChordError(f"no chord labelled {sorted(unknown)!r}")
-    m = diagram.to_map()
-    mask = 0
-    for i, (a, _) in enumerate(m.edges):
-        if diagram.word[a] in chord_set:
-            mask |= 1 << i
-    dual = m.partial_dual(mask)
+    mask = sum(1 << i for i, label in enumerate(labels) if label in chord_set)
+    dual = diagram.to_map().partial_dual(mask)
     side = tuple("out" if mask >> i & 1 else "in" for i in range(len(dual.edges)))
     return from_map(dual, side)
 
@@ -466,14 +464,46 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(map(renumber.__getitem__, ids)), tuple(canonical[old] for old in order)
 
 
-def class_table(n: int) -> dict[tuple[int, ...], int]:
-    """Class id of every first-occurrence-normalized word of order n.
+def _class_id(word: Sequence[Hashable]) -> int:
+    """The class id of a word of any labels and rotation, read at its chord-insertion number."""
+    r = normalize_labels(word)
+    if not r:
+        return 0
+    n = len(r) // 2
+    j = r.index(1, 1)
+    return _classes(n)[0][_numbering(n - 1)[r[1:j] + r[j + 1 :]] * (2 * n - 1) + j - 1]
 
-    The table has one entry per matching of 2n points, (2n-1)!! in all.
-    Class ids index ``enumerate_diagrams(n)``, so they are ordered by
-    canonical word.  It is built anew on each call.
+
+@lru_cache(maxsize=None)
+def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
+
+    The four diagrams agree outside one endpoint of the moving chord,
+    which sits in the four slots adjacent to the two endpoints of the
+    fixed chord: just before the first, just after the first, just before
+    the second, just after the second.  Swapping the roles of the fixed
+    chord's endpoints permutes the quadruple as (3, 4, 1, 2), which leaves
+    the alternating sum unchanged; the lesser variant is kept.  Duplicates
+    are removed by class id; id i is the diagram ``enumerate_diagrams(n)[i]``.
+
+    Read from the partner of the free endpoint, the circle is chord 1 then
+    a skeleton of order n - 1, each once; a fixed chord at skeleton
+    positions r < s puts the free endpoint in gaps r, r + 1, s and s + 1
+    of the skeleton's row of class ids.  Below order 2 there is no fixed
+    chord, so the tuple is empty; a negative order raises ``ValueError``.
     """
-    return dict(zip(_insertions(n), _classes(n)[0]))
+    ids = _classes(n)[0]
+    width = 2 * n - 1
+    keys: set[tuple[int, int, int, int]] = set()
+    for k, skeleton in enumerate(_numbering(n - 1) if n else ()):
+        row = ids[k * width : (k + 1) * width]
+        first: dict[int, int] = {}
+        for s, label in enumerate(skeleton):
+            r = first.setdefault(label, s)
+            if r != s:
+                four = (row[r], row[r + 1], row[s], row[s + 1])
+                keys.add(min(four, four[2:] + four[:2]))
+    return tuple(sorted(keys))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -21,11 +20,11 @@ from typing import Callable, Sequence
 from .diagrams import (
     ChordDiagram,
     _canonical_diagram,
-    _classes,
+    _class_id,
     _interlace_masks,
     _least_rotation,
-    _numbering,
     enumerate_diagrams,
+    generate_4T_quadruples,
     product,
 )
 from .maps import CombinatorialMap
@@ -97,38 +96,6 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
 # A quadruple (d1, d2, d3, d4) of class ids satisfies the four-term
 # relation when f(d1) - f(d2) + f(d3) - f(d4) = 0.
 SIGNS = (1, -1, 1, -1)
-
-
-@lru_cache(maxsize=None)
-def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
-
-    The four diagrams agree outside one endpoint of the moving chord,
-    which sits in the four slots adjacent to the two endpoints of the
-    fixed chord: just before the first, just after the first, just before
-    the second, just after the second.  Swapping the roles of the fixed
-    chord's endpoints permutes the quadruple as (3, 4, 1, 2), which leaves
-    the alternating sum unchanged; the lesser variant is kept.  Duplicates
-    are removed by class id; id i is the diagram ``enumerate_diagrams(n)[i]``.
-
-    Read from the partner of the free endpoint, the circle is chord 1 then
-    a skeleton of order n - 1, each once; a fixed chord at skeleton
-    positions r < s puts the free endpoint in gaps r, r + 1, s and s + 1
-    of the skeleton's row of class ids.  Below order 2 there is no fixed
-    chord, so the tuple is empty; a negative order raises ``ValueError``.
-    """
-    ids = _classes(n)[0]
-    width = 2 * n - 1
-    keys: set[tuple[int, int, int, int]] = set()
-    for k, skeleton in enumerate(_numbering(n - 1) if n else ()):
-        row = ids[k * width : (k + 1) * width]
-        first: dict[int, int] = {}
-        for s, label in enumerate(skeleton):
-            r = first.setdefault(label, s)
-            if r != s:
-                four = (row[r], row[r + 1], row[s], row[s + 1])
-                keys.add(min(four, four[2:] + four[:2]))
-    return tuple(sorted(keys))
 
 
 def check_4T(
@@ -221,16 +188,15 @@ def express_modulo_4T(
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
-    canonical = _classes(n)[1]
     weight_systems = _weight_systems(n)
-    ids = [bisect_left(canonical, b.canonical().word) for b in basis]
+    ids = [_class_id(b.word) for b in basis]
     values = RationalMatrix(
         ({i: w[b] for i, b in enumerate(ids) if b in w} for w in weight_systems),
         len(basis),
     )
     if values.rank() != len(basis):
         raise NotABasisError("basis is dependent modulo the four-term relations")
-    target = bisect_left(canonical, diagram.canonical().word)
+    target = _class_id(diagram.word)
     solution = values.solve([w.get(target, 0) for w in weight_systems])
     if solution is None:
         raise NoSolutionError("target is outside the span of basis and relations")

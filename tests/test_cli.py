@@ -360,6 +360,25 @@ class TestTable:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "enum three",
+            "poly 1_2_3_1_2_3",
+            "check4t 8",
+            "enum 3 --limit -1",
+            "product 1_1 2_2 --cuts x,y",
+            "slide 1_1 --move 0 --along 7",
+        ],
+        ids=["parser", "poly-subsets", "order", "enum-limit", "product-cuts", "slide-chord"],
+    )
+    def test_every_error_prints_one_prefix(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 4)
+        argv = [arg.replace("_", " ") for arg in argv.split()]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("pdgenus: error:")
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

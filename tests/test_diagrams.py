@@ -18,8 +18,8 @@ from pdgenus.diagrams import (
     MultiCircleDiagram,
     OddLengthError,
     UnknownChordError,
+    _class_id,
     caravan,
-    class_table,
     enumerate_diagrams,
     from_map,
     partial_dual_diagram,
@@ -156,32 +156,38 @@ def _matching_word(matching, n):
 class TestClassTable:
     @pytest.mark.parametrize("n, matchings", [(0, 1), (1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
     def test_one_entry_per_matching(self, n, matchings):
-        assert len(class_table(n)) == matchings
+        assert len(diagrams._classes(n)[0]) == len(set(diagrams._insertions(n))) == matchings
+        assert _class_id(next(diagrams._insertions(n))) == 0  # the chords side by side
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ids_index_the_rotation_search_canonical_forms(self, n):
         # ChordDiagram.canonical() searches all rotations: an independent oracle
         position = {d.word: i for i, d in enumerate(enumerate_diagrams(n))}
-        table = class_table(n)
+        rng = random.Random(n)
         for matching in _matchings(tuple(range(2 * n))):
             word = _matching_word(matching, n)
-            assert table[word] == position[ChordDiagram(word).canonical().word]
+            expected = position[ChordDiagram(word).canonical().word]
+            shift = rng.randrange(2 * n)
+            letter = {label: chr(ord("a") + n - label) for label in word}  # in reverse order
+            assert _class_id(word) == expected
+            assert _class_id(word[shift:] + word[:shift]) == expected
+            assert _class_id([letter[label] for label in word]) == expected
 
     @pytest.mark.parametrize(
         "n, matchings, digest",
         [(5, 945, "8cc5f4fe581b8fe3"), (6, 10395, "5b4056ccae757861")],
     )
     def test_pinned_table(self, n, matchings, digest):
-        items = sorted(class_table(n).items())
+        # the digest of the former dict from every normalized word to its class id
+        items = sorted(zip(diagrams._insertions(n), diagrams._classes(n)[0]))
         assert len(items) == matchings
         assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ids_ordered_by_canonical_word(self, n):
-        table = class_table(n)
         canonical = [d.word for d in enumerate_diagrams(n)]
         assert canonical == sorted(canonical)
-        assert [table[w] for w in canonical] == list(range(len(canonical)))
+        assert [_class_id(w) for w in canonical] == list(range(len(canonical)))
 
     def test_enumerated_diagrams_need_no_rotation_search(self):
         d = enumerate_diagrams(4)[7]
@@ -245,6 +251,15 @@ class TestMapConversion:
                 mc = from_map(d.to_map())
                 assert mc.num_circles == 1
                 assert mc.to_diagram() == d
+
+    def test_edge_i_is_chord_labels_i(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            word = rng.sample(range(10, 99), n) * 2
+            rng.shuffle(word)
+            d = ChordDiagram(word)
+            edges = d.to_map().edges
+            assert [d.word[a] for a, _ in edges] == list(d.labels())
 
     def test_two_vertex_map_gives_two_circles(self):
         m = CombinatorialMap((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2))

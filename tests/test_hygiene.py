@@ -99,11 +99,13 @@ def test_cli_parses_words_only_in_the_bounded_helper():
 
 
 def test_weight_system_leaves_the_word_format_to_diagrams():
-    # class ids come from the chord-insertion numbering, never from a word lookup
+    # class ids come from diagrams' one lookup, never from the numbering or a bisect
     imported = {
-        alias.name
+        name
         for node in ast.walk(_tree(Path(weight_system.__file__)))
         if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
+        for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
     }
-    assert imported and imported.isdisjoint({"class_table", "normalize_labels"})
+    assert imported and imported.isdisjoint(
+        {"class_table", "normalize_labels", "_numbering", "_insertions", "_classes", "bisect"}
+    )

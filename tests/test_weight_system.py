@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdgenus import weight_system
+from pdgenus import diagrams, weight_system
 from pdgenus.diagrams import ChordDiagram, caravan, enumerate_diagrams, product
 from pdgenus.maps import CombinatorialMap
 from pdgenus.polynomials import IntPolynomial, RationalMatrix
@@ -464,6 +464,17 @@ class TestExpressModulo4T:
         for b in basis:
             express_modulo_4T(b, basis)
         assert len(calls) <= 1
+
+    def test_class_ids_need_no_rotation_search(self, monkeypatch):
+        target, basis = P("1 2 1 3 4 2 3 4"), self._basis()
+        expected = express_modulo_4T(target, basis)  # warms _weight_systems(4)
+
+        def no_rotation_search(word):
+            raise AssertionError("express_modulo_4T searched the rotations of a word")
+
+        monkeypatch.setattr(diagrams, "_least_rotation", no_rotation_search)
+        rotated = [ChordDiagram(d.word[3:] + d.word[:3]) for d in [target, *basis]]
+        assert express_modulo_4T(rotated[0], rotated[1:]) == expected
 
     def test_dependent_basis_rejected(self):
         dependent = [P("1 1 2 2 3 4 3 4"), P("1 1 2 3 4 4 2 3")]  # equal mod 4T
