@@ -411,8 +411,9 @@ def caravan(k: int, g: int) -> ChordDiagram:
     return ChordDiagram(word)
 
 
-def _insertions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every first-occurrence-normalized word of order n, in number order.
+@lru_cache(maxsize=None)
+def _numbering(n: int) -> dict[tuple[int, ...], int]:
+    """The number of every normalized word of order n, keyed with its labels raised by one.
 
     Deleting both ends of chord 1 from a normalized word of order n and
     lowering the other labels by one leaves a normalized word of order
@@ -421,44 +422,42 @@ def _insertions(n: int) -> Iterator[tuple[int, ...]]:
     and its second end in gap j.
     """
     if n == 0:
-        yield ()
-        return
-    for s in _numbering(n - 1):
-        for j in range(2 * n - 1):
-            yield (1,) + s[:j] + (1,) + s[j:]
+        return {(): 0}
+    words = ((1,) + s[:j] + (1,) + s[j:] for s in _numbering(n - 1) for j in range(2 * n - 1))
+    return {tuple([label + 1 for label in word]): k for k, word in enumerate(words)}
 
 
-@lru_cache(maxsize=None)
-def _numbering(n: int) -> dict[tuple[int, ...], int]:
-    """The number of every normalized word of order n, keyed with its labels raised by one."""
-    return {tuple([label + 1 for label in word]): k for k, word in enumerate(_insertions(n))}
+def _number(r: tuple[int, ...]) -> int:
+    """The number of a normalized word r: skeleton ``r[1:j] + r[j+1:]`` and gap j - 1."""
+    n = len(r) // 2
+    j = r.index(1, 1)
+    return _numbering(n - 1)[r[1:j] + r[j + 1 :]] * (2 * n - 1) + j - 1
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The class id of every word number of order n and the canonical word of each id.
 
-    A word whose id is unset starts a new class: all its normalized
-    rotations join it, and their minimum is its canonical word.  Rotation
-    r has skeleton ``r[1:j] + r[j+1:]`` and gap j - 1, where r[j] is the
-    second 1.  Ids are then renumbered in canonical-word order.
+    Words are visited in number order, and only a word whose id is unset
+    is built: it starts a new class, all its normalized rotations join it,
+    and their minimum is its canonical word.  Ids are then renumbered in
+    canonical-word order.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n == 0:
         return (0,), ((),)
-    numbering = _numbering(n - 1)
     width = 2 * n - 1
-    ids = array("l", [-1]) * (len(numbering) * width)
+    ids = array("l", [-1]) * (len(_numbering(n - 1)) * width)
     canonical: list[tuple[int, ...]] = []
-    for number, word in enumerate(_insertions(n)):
-        if ids[number] >= 0:
-            continue
-        rotations = [normalize_labels(word[k:] + word[:k]) for k in range(2 * n)]
-        for r in rotations:
-            j = r.index(1, 1)
-            ids[numbering[r[1:j] + r[j + 1 :]] * width + j - 1] = len(canonical)
-        canonical.append(min(rotations))
+    for k, s in enumerate(_numbering(n - 1)):
+        for j in range(width):
+            if ids[k * width + j] < 0:
+                word = (1,) + s[:j] + (1,) + s[j:]
+                rotations = [normalize_labels(word[i:] + word[:i]) for i in range(2 * n)]
+                for r in rotations:
+                    ids[_number(r)] = len(canonical)
+                canonical.append(min(rotations))
     order = sorted(range(len(canonical)), key=canonical.__getitem__)
     renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     return tuple(map(renumber.__getitem__, ids)), tuple(canonical[old] for old in order)
@@ -467,11 +466,7 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 def _class_id(word: Sequence[Hashable]) -> int:
     """The class id of a word of any labels and rotation, read at its chord-insertion number."""
     r = normalize_labels(word)
-    if not r:
-        return 0
-    n = len(r) // 2
-    j = r.index(1, 1)
-    return _classes(n)[0][_numbering(n - 1)[r[1:j] + r[j + 1 :]] * (2 * n - 1) + j - 1]
+    return _classes(len(r) // 2)[0][_number(r)] if r else 0
 
 
 @lru_cache(maxsize=None)

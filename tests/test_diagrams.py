@@ -22,6 +22,7 @@ from pdgenus.diagrams import (
     caravan,
     enumerate_diagrams,
     from_map,
+    normalize_labels,
     partial_dual_diagram,
     product,
 )
@@ -153,11 +154,16 @@ def _matching_word(matching, n):
     return tuple(word)
 
 
+def _words(n):
+    """Every normalized word of order n in number order: the numbering's keys, lowered by one."""
+    return [tuple(label - 1 for label in key) for key in diagrams._numbering(n)]
+
+
 class TestClassTable:
     @pytest.mark.parametrize("n, matchings", [(0, 1), (1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
     def test_one_entry_per_matching(self, n, matchings):
-        assert len(diagrams._classes(n)[0]) == len(set(diagrams._insertions(n))) == matchings
-        assert _class_id(next(diagrams._insertions(n))) == 0  # the chords side by side
+        assert len(diagrams._classes(n)[0]) == len(set(_words(n))) == matchings
+        assert _class_id(_words(n)[0]) == 0  # the chords side by side
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ids_index_the_rotation_search_canonical_forms(self, n):
@@ -179,7 +185,7 @@ class TestClassTable:
     )
     def test_pinned_table(self, n, matchings, digest):
         # the digest of the former dict from every normalized word to its class id
-        items = sorted(zip(diagrams._insertions(n), diagrams._classes(n)[0]))
+        items = sorted(zip(_words(n), diagrams._classes(n)[0]))
         assert len(items) == matchings
         assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
 
@@ -199,16 +205,20 @@ class TestNumbering:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_word_number_is_skeleton_and_gap(self, n):
         # word k * (2n - 1) + j: skeleton k, raised by one, with chord 1 at 0 and in gap j
-        skeletons = list(diagrams._insertions(n - 1))
-        words = list(diagrams._insertions(n))
-        assert len(set(words)) == len(words) == math.prod(range(1, 2 * n, 2))
+        skeletons = _words(n - 1)
+        words = _words(n)
+        assert len(words) == math.prod(range(1, 2 * n, 2))
+        # the brute-force matchings are an independent oracle for the set of words
+        assert set(words) == {
+            normalize_labels(_matching_word(m, n)) for m in _matchings(tuple(range(2 * n)))
+        }
         for number, word in enumerate(words):
             k, gap = divmod(number, 2 * n - 1)
             j = word.index(1, 1)
             assert (word[0], j) == (1, gap + 1)
             assert tuple(label - 1 for label in word[1:j] + word[j + 1 :]) == skeletons[k]
-        raised = {tuple(label + 1 for label in s): k for k, s in enumerate(skeletons)}
-        assert list(diagrams._numbering(n - 1).items()) == list(raised.items())
+            assert diagrams._number(word) == number
+        assert list(diagrams._numbering(n - 1).values()) == list(range(len(skeletons)))
 
     def test_cold_order_six_quadruples_and_diagrams_peak_under_1_5_mib(self):
         # a fresh interpreter, so that no class table or quadruple is cached

@@ -107,5 +107,11 @@ def test_weight_system_leaves_the_word_format_to_diagrams():
         for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
     }
     assert imported and imported.isdisjoint(
-        {"class_table", "normalize_labels", "_numbering", "_insertions", "_classes", "bisect"}
+        {"class_table", "normalize_labels", "_numbering", "_number", "_classes", "bisect"}
     )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_modules_parse_with_the_oldest_supported_grammar(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -59,6 +59,14 @@ class TestIntPolynomial:
         p = P(2, 0, 5)
         assert IntPolynomial.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("coeffs", [[0.5, 2.9], [Fraction(7, 2)], [Fraction(4, 1)], [1, "3"]])
+    def test_inexact_coefficients_rejected(self, coeffs):
+        # int() would read these as 2z, 3, 4 and 1 + 3z
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
+        with pytest.raises(TypeError):
+            IntPolynomial.from_json({"coeffs": coeffs})
+
 
 def dense(rows):
     """A RationalMatrix from dense rows of equal length."""
@@ -103,6 +111,16 @@ class TestRationalMatrix:
         x = dense(entries).solve([1, 1])
         for row, t in zip(entries, [1, 1]):
             assert sum(r * xi for r, xi in zip(row, x)) == t
+
+    def test_float_entries_rejected(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        for value in (0.5, 0.1, 2.0):
+            with pytest.raises(TypeError):
+                RationalMatrix([{0: value}], num_cols=1)
+            with pytest.raises(TypeError):
+                dense([[1]]).solve([value])
+        exact = RationalMatrix([{0: Fraction(1, 10), 1: "1/10", 2: 3}], num_cols=3)
+        assert exact.rows == ({0: Fraction(1, 10), 1: Fraction(1, 10), 2: Fraction(3)},)
 
     def test_out_of_range_column_rejected(self):
         for column in (-1, 2):
