@@ -93,28 +93,34 @@ class ChordDiagram:
             raise UnknownChordError(f"no chord labelled {label!r}")
         return (hits[0], hits[1])
 
-    def canonical(self) -> ChordDiagram:
-        """Relabel by first occurrence and take the lex-least of all rotations."""
+    def _canonical_key(self) -> tuple[int, ...]:
+        """The canonical word, computed on first use and kept."""
         if self._canonical_word is None:
             self._canonical_word = _least_rotation(self.word)
-        if self._canonical_word == self.word:
-            return self
-        return _canonical_diagram(self._canonical_word)
+        return self._canonical_word
+
+    def canonical(self) -> ChordDiagram:
+        """Relabel by first occurrence and take the lex-least of all rotations."""
+        word = self._canonical_key()
+        return self if word == self.word else _canonical_diagram(word)
 
     def is_canonical(self) -> bool:
-        return self.canonical().word == self.word
+        return self._canonical_key() == self.word
+
+    def mirror(self) -> ChordDiagram:
+        """The mirror image: the reversed word, in canonical form."""
+        return _canonical_diagram(_least_rotation(self.word[::-1]))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChordDiagram)
-            and self.canonical().word == other.canonical().word
-        )
+        return isinstance(other, ChordDiagram) and self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self.canonical().word)
+        return hash(self._canonical_key())
 
-    def __lt__(self, other: ChordDiagram) -> bool:
-        return self.canonical().word < other.canonical().word
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, ChordDiagram):
+            return NotImplemented
+        return self._canonical_key() < other._canonical_key()
 
     def __str__(self) -> str:
         return " ".join(map(str, self.word))

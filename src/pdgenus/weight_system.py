@@ -17,16 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .diagrams import (
-    ChordDiagram,
-    _canonical_diagram,
-    _class_id,
-    _interlace_masks,
-    _least_rotation,
-    enumerate_diagrams,
-    generate_4T_quadruples,
-    product,
-)
+from .diagrams import ChordDiagram, _class_id, enumerate_diagrams, generate_4T_quadruples, product
 from .maps import CombinatorialMap
 from .polynomials import IntPolynomial, RationalMatrix
 
@@ -57,23 +48,22 @@ def _genus_distribution(m: CombinatorialMap) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _gamma_of_word(word: tuple[int, ...]) -> IntPolynomial:
-    """The polynomial of a canonical word, walked only for prime diagrams up to reflection.
+def _gamma(diagram: ChordDiagram) -> IntPolynomial:
+    """The polynomial of a diagram class, walked only for prime diagrams up to reflection.
 
     The polynomial of a connected sum is the product of its factors'
     (Gross, Mansour and Tucker, EJC 2020), and it depends only on the
-    interlace graph, which the mirror image (the reversed word) shares.
-    So a connected sum is the product over its factors, a prime diagram
-    whose mirror has the smaller canonical word is that mirror, and only
-    the remaining diagrams are walked.
+    interlace graph, which the mirror image shares.  So a connected sum is
+    the product over its factors, a prime diagram whose mirror is the
+    lesser diagram is that mirror, and only the remaining diagrams are
+    walked.  Equal diagrams share one cache entry: one per rotation class.
     """
-    diagram = _canonical_diagram(word)
     factors = diagram.join_decompose()
     if len(factors) > 1:
-        return math.prod(_gamma_of_word(f.word) for f in factors)
-    mirror = _least_rotation(word[::-1])
-    if mirror < word:
-        return _gamma_of_word(mirror)
+        return math.prod(_gamma(f) for f in factors)
+    mirror = diagram.mirror()
+    if mirror < diagram:
+        return _gamma(mirror)
     return _genus_distribution(diagram.to_map())
 
 
@@ -87,7 +77,7 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
     diagram takes the product of its factors' polynomials or its mirror's.
     """
     if isinstance(g, ChordDiagram):
-        return _gamma_of_word(g.canonical().word)
+        return _gamma(g)
     return _genus_distribution(g)
 
 
@@ -213,7 +203,7 @@ def check_multiplicativity(n1: int, n2: int) -> dict:
     so the products are not evaluated through it: each class of product
     gets one boundary walk of its own.
     """
-    walked: dict[tuple[int, ...], IntPolynomial] = {}
+    walked: dict[ChordDiagram, IntPolynomial] = {}
     checked = 0
     violations = []
     for d1 in enumerate_diagrams(n1):
@@ -225,10 +215,9 @@ def check_multiplicativity(n1: int, n2: int) -> dict:
                 for cut2 in range(max(2 * n2, 1)):
                     joined = product(d1, d2, cut1, cut2)
                     checked += 1
-                    word = joined.canonical().word
-                    if word not in walked:
-                        walked[word] = _genus_distribution(joined.to_map())
-                    actual = walked[word]
+                    if joined not in walked:
+                        walked[joined] = _genus_distribution(joined.to_map())
+                    actual = walked[joined]
                     if actual != expected:
                         violations.append(
                             {
@@ -247,11 +236,11 @@ def check_multiplicativity(n1: int, n2: int) -> dict:
     }
 
 
-def _graph_class_key(masks: list[int]) -> tuple[int, ...]:
+def _graph_class_key(graph: list[list[int]]) -> tuple[int, ...]:
     """Canonical form of a small graph: lex-least adjacency bits over all relabellings."""
-    n = len(masks)
+    n = len(graph)
     return min(
-        tuple(masks[p[i]] >> p[j] & 1 for i in range(n) for j in range(i + 1, n))
+        tuple(graph[p[i]][p[j]] for i in range(n) for j in range(i + 1, n))
         for p in itertools.permutations(range(n))
     )
 
@@ -264,7 +253,7 @@ def check_intersection_graph_invariance(n: int) -> dict:
     """
     classes: dict[tuple[int, ...], list[ChordDiagram]] = {}
     for d in enumerate_diagrams(n):
-        classes.setdefault(_graph_class_key(_interlace_masks(d.word)), []).append(d)
+        classes.setdefault(_graph_class_key(d.interlace_graph()), []).append(d)
     violations = []
     summaries = []
     for key in sorted(classes):

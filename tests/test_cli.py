@@ -142,7 +142,7 @@ class TestPolyFactorLimit:
         raise AssertionError("walk started above the subset limit")
 
     def test_prime_factor_above_limit_exits_one_before_any_walk(self, capsys, monkeypatch):
-        weight_system._gamma_of_word.cache_clear()
+        weight_system._gamma.cache_clear()
         monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 4)
         monkeypatch.setattr(weight_system, "_genus_distribution", self._no_walk)
         code, out, err = run(capsys, "poly", "--json", "1 2 3 1 2 3")
@@ -154,7 +154,7 @@ class TestPolyFactorLimit:
         self, capsys, monkeypatch
     ):
         # an interlaced pair (4 subsets) and a 3-chord triangle (8): each fits alone
-        weight_system._gamma_of_word.cache_clear()
+        weight_system._gamma.cache_clear()
         monkeypatch.setattr(cli, "MAX_POLY_SUBSETS", 8)
         monkeypatch.setattr(weight_system, "_genus_distribution", self._no_walk)
         code, out, err = run(capsys, "poly", "1 2 1 2 3 4 5 3 4 5")

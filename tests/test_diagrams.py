@@ -97,6 +97,25 @@ class TestCanonicalForm:
         assert P("7 3 7 3") == P("1 2 1 2")
         assert hash(P("7 3 7 3")) == hash(P("1 2 1 2"))
 
+    def test_ordering_against_a_non_diagram_raises_type_error(self):
+        with pytest.raises(TypeError):
+            P("1 2 1 2") < 1
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n", range(7))
+    def test_mirror_is_the_canonical_reversed_word_and_an_involution(self, n):
+        for d in enumerate_diagrams(n):
+            mirror = d.mirror()
+            assert mirror.is_canonical(), d
+            assert mirror == ChordDiagram(d.word[::-1]), d
+            assert mirror.mirror() == d, d
+
+    def test_classes_up_to_reflection_match_the_published_counts(self):
+        # OEIS A007769: chord diagrams of n chords up to rotation and reflection
+        counts = [len({min(d, d.mirror()) for d in enumerate_diagrams(n)}) for n in range(7)]
+        assert counts == [1, 1, 2, 5, 17, 79, 554]
+
 
 def _matchings(points):
     """All perfect matchings of an even point set, as tuples of pairs.

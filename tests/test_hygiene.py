@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pdgenus
-from pdgenus import cli, maps, weight_system
+from pdgenus import cli, golden, maps, weight_system
 
 MODULES = sorted(Path(pdgenus.__file__).parent.glob("*.py"))
 
@@ -98,16 +98,30 @@ def test_cli_parses_words_only_in_the_bounded_helper():
     assert callers == ["_parse_words"]
 
 
-def test_weight_system_leaves_the_word_format_to_diagrams():
-    # class ids come from diagrams' one lookup, never from the numbering or a bisect
+@pytest.mark.parametrize(
+    "path", [Path(m.__file__) for m in (weight_system, golden, cli)], ids=lambda p: p.stem
+)
+def test_weight_system_leaves_the_word_format_to_diagrams(path):
+    # class ids come from diagrams' one lookup, never from the numbering or a bisect, and
+    # canonical words, mirror images and interlace bitmasks from ChordDiagram's methods
     imported = {
         name
-        for node in ast.walk(_tree(Path(weight_system.__file__)))
+        for node in ast.walk(_tree(path))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
     }
     assert imported and imported.isdisjoint(
-        {"class_table", "normalize_labels", "_numbering", "_number", "_classes", "bisect"}
+        {
+            "class_table",
+            "normalize_labels",
+            "_numbering",
+            "_number",
+            "_classes",
+            "bisect",
+            "_least_rotation",
+            "_canonical_diagram",
+            "_interlace_masks",
+        }
     )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -121,9 +122,14 @@ class TestGenusPolynomial:
 @pytest.fixture
 def cold_gamma():
     """An empty polynomial cache during the test, and again after it."""
-    weight_system._gamma_of_word.cache_clear()
+    weight_system._gamma.cache_clear()
     yield
-    weight_system._gamma_of_word.cache_clear()
+    weight_system._gamma.cache_clear()
+
+
+# walks of a cold cache for all classes of order n: the prime classes of orders 1..n
+# up to reflection
+WALKS = [(4, 10), (5, 35), (6, 200)]
 
 
 def _count_walks(monkeypatch):
@@ -158,7 +164,7 @@ class TestFactorAndMirrorShortcuts:
             assert _genus_distribution(mirror.to_map()) == walked, d
             assert pd_genus_polynomial(mirror) == walked, d
 
-    @pytest.mark.parametrize("n, walks", [(4, 10), (5, 35), (6, 200)])
+    @pytest.mark.parametrize("n, walks", WALKS)
     def test_only_prime_diagrams_up_to_reflection_are_walked(
         self, n, walks, cold_gamma, monkeypatch
     ):
@@ -166,6 +172,15 @@ class TestFactorAndMirrorShortcuts:
         for d in enumerate_diagrams(n):
             pd_genus_polynomial(d)
         assert len(walked) == walks
+
+    def test_walk_counts_are_running_totals_of_prime_classes_up_to_reflection(self):
+        primes = [
+            len({min(d, d.mirror()) for d in enumerate_diagrams(n) if len(d.join_decompose()) == 1})
+            for n in range(1, 7)
+        ]
+        assert primes == [1, 1, 2, 6, 25, 165]
+        totals = dict(enumerate(itertools.accumulate(primes), start=1))
+        assert [(n, totals[n]) for n, _ in WALKS] == WALKS
 
     @pytest.mark.parametrize(
         "corrupt",
