@@ -27,9 +27,9 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take about 1 s, 3.5 s and 40 s and at most 100 MB (2-CPU machine); at
-# order 8 check4t takes about a minute and 220 MB, and the exact quotient
-# grows into hours.
+# they take about 0.5 s, 2 s and 40 s and at most 100 MB (2-CPU machine); at
+# order 8 check4t takes about 35 s and 215 MB, and the exact quotient grows
+# into hours.
 MAX_ORDER = 7
 
 # Most subsets that poly walks: the sum of 2^k over the distinct prime

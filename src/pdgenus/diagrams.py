@@ -182,14 +182,9 @@ class ChordDiagram:
         the interlace graph, each read off in circle order.  Factors are
         canonical and sorted by order, then word.
         """
-        components = list(_components(_interlace_masks(self.word)))
-        if len(components) == 1:
+        subwords = _join_subwords(self.word)
+        if len(subwords) == 1:
             return [self.canonical()]  # prime
-        labels = self.labels()
-        part = {labels[i]: k for k, component in enumerate(components) for i in component}
-        subwords: list[list[int]] = [[] for _ in components]
-        for label in self.word:
-            subwords[part[label]].append(label)
         factors = [_canonical_diagram(_least_rotation(tuple(sub))) for sub in subwords]
         factors.sort(key=lambda d: (d.order, d.word))
         return factors
@@ -227,6 +222,22 @@ def _components(masks: list[int]) -> Iterator[list[int]]:
             unseen ^= new
             frontier ^= low | new
         yield component
+
+
+def _join_subwords(word: Sequence[Hashable]) -> list[Sequence[Hashable]]:
+    """The join factors of a word: one subword per interlace component, in circle order.
+
+    A prime word is its own one factor.
+    """
+    components = list(_components(_interlace_masks(word)))
+    if len(components) == 1:
+        return [word]
+    labels = list(dict.fromkeys(word))  # first-occurrence order, as the masks number chords
+    part = {labels[i]: k for k, component in enumerate(components) for i in component}
+    subwords: list[list[Hashable]] = [[] for _ in components]
+    for label in word:
+        subwords[part[label]].append(label)
+    return subwords
 
 
 def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
@@ -440,30 +451,67 @@ def _number(r: tuple[int, ...]) -> int:
     return _numbering(n - 1)[r[1:j] + r[j + 1 :]] * (2 * n - 1) + j - 1
 
 
+def _rotation(n: int) -> array:
+    """The one-step rotation on word numbers of order n: word x with its first letter moved last.
+
+    Word x = k * w + j, with w = 2n - 1, is skeleton k with chord 1 in gap
+    j.  For j = 0 the rotation is skeleton k with chord 1 in the last gap,
+    k * w + w - 1.  Otherwise the rotated word starts with the skeleton's
+    first chord, the new chord 1; write k = k2 * w' + j2, with w' = 2n - 3,
+    for that chord's own skeleton and gap.  Deleting it leaves the rotation
+    of order-(n - 1) word k2 * w' + j - 1 if j <= j2 + 1, with the new chord
+    1 in gap j2 + 1, or else of word k2 * w' + j - 2, with it in gap j2.
+    """
+    if n <= 1:
+        return array("l", [0])  # the one word of order 0 or 1
+    below = _rotation(n - 1)
+    w, w2 = 2 * n - 1, 2 * n - 3
+    # Allocated once at full size: grown by extend, the 16 MB array of order 8
+    # left check_4T(8) 15 MB more peak RSS after it was freed.
+    rot = array("l", [0]) * (len(below) * w)
+    for k2 in range(len(below) // w2):
+        lifted = [r * w for r in below[k2 * w2 : k2 * w2 + w2]]  # rows k2 * w' + j2 share it
+        rows: list[int] = []
+        for j2 in range(w2):
+            rows.append((k2 * w2 + j2) * w + w - 1)
+            rows += [r + j2 + 1 for r in lifted[: j2 + 1]]
+            rows += [r + j2 for r in lifted[j2:]]
+        rot[k2 * w2 * w : (k2 + 1) * w2 * w] = array("l", rows)
+    return rot
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The class id of every word number of order n and the canonical word of each id.
 
-    Words are visited in number order, and only a word whose id is unset
-    is built: it starts a new class, all its normalized rotations join it,
-    and their minimum is its canonical word.  Ids are then renumbered in
-    canonical-word order.
+    The classes are the cycles of ``_rotation(n)``.  Numbers are visited in
+    order, and one without an id starts a class: its cycle is followed
+    around, every member gets the id, and the least member, decoded by
+    slicing its skeleton, is the canonical word.  Ids are then renumbered
+    in canonical-word order.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n == 0:
         return (0,), ((),)
     width = 2 * n - 1
-    ids = array("l", [-1]) * (len(_numbering(n - 1)) * width)
+    skeletons = list(_numbering(n - 1))
+    rot = _rotation(n)
+    ids = array("l", [-1]) * len(rot)
     canonical: list[tuple[int, ...]] = []
-    for k, s in enumerate(_numbering(n - 1)):
-        for j in range(width):
-            if ids[k * width + j] < 0:
+    for start in range(len(rot)):
+        if ids[start] < 0:
+            least, x = None, start
+            while ids[x] < 0:
+                ids[x] = len(canonical)
+                k, j = divmod(x, width)
+                s = skeletons[k]
                 word = (1,) + s[:j] + (1,) + s[j:]
-                rotations = [normalize_labels(word[i:] + word[:i]) for i in range(2 * n)]
-                for r in rotations:
-                    ids[_number(r)] = len(canonical)
-                canonical.append(min(rotations))
+                if least is None or word < least:
+                    least = word
+                x = rot[x]
+            canonical.append(least)
+    del rot  # before the renumbering builds the id tuple: 16 MB at order 8
     order = sorted(range(len(canonical)), key=canonical.__getitem__)
     renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     return tuple(map(renumber.__getitem__, ids)), tuple(canonical[old] for old in order)
@@ -473,6 +521,20 @@ def _class_id(word: Sequence[Hashable]) -> int:
     """The class id of a word of any labels and rotation, read at its chord-insertion number."""
     r = normalize_labels(word)
     return _classes(len(r) // 2)[0][_number(r)] if r else 0
+
+
+def _factor_ids(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The join factors of each class of order n, in id order, as sorted (order, id) pairs.
+
+    A prime class yields ``()``.  The factors of a connected sum are the
+    ``_join_subwords`` of its canonical word, each looked up by ``_class_id``.
+    """
+    for word in _classes(n)[1]:
+        subwords = _join_subwords(word)
+        if len(subwords) < 2:
+            yield ()
+        else:
+            yield tuple(sorted((len(s) // 2, _class_id(s)) for s in subwords))
 
 
 @lru_cache(maxsize=None)

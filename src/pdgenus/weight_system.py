@@ -17,7 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .diagrams import ChordDiagram, _class_id, enumerate_diagrams, generate_4T_quadruples, product
+from .diagrams import (
+    ChordDiagram,
+    _class_id,
+    _factor_ids,
+    enumerate_diagrams,
+    generate_4T_quadruples,
+    product,
+)
 from .maps import CombinatorialMap
 from .polynomials import IntPolynomial, RationalMatrix
 
@@ -81,6 +88,22 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
     return _genus_distribution(g)
 
 
+@lru_cache(maxsize=None)
+def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
+    """The polynomial of every class of order n, by class id.
+
+    A connected sum is the product of its factors' entries in the tables
+    of their orders; a prime class goes through ``pd_genus_polynomial``.
+    """
+    diagrams = enumerate_diagrams(n)
+    return tuple(
+        math.prod(_gamma_table(order)[c] for order, c in factors)
+        if factors
+        else pd_genus_polynomial(diagrams[c])
+        for c, factors in enumerate(_factor_ids(n))
+    )
+
+
 # -- four-term quadruples --------------------------------------------------
 
 # A quadruple (d1, d2, d3, d4) of class ids satisfies the four-term
@@ -95,20 +118,22 @@ def check_4T(
 ) -> dict:
     """Evaluate the alternating sum on every quadruple of order n.
 
-    The invariant (by default the genus polynomial) is evaluated once per
-    diagram class, in this process, then summed over the quadruples' class
-    ids.  Returns a report with the quadruple count and all nonzero
-    residuals; for the genus polynomial the expected violation count is
-    zero.  ``threads`` is ignored: any value of at least 1 runs the same
-    loop, and a value below 1 raises ``ValueError`` before any work.  The
-    keyword remains only for existing callers and may be removed.
+    The genus polynomial, the default invariant, is read from the order's
+    table by class id (``_gamma_table``); any other invariant is evaluated
+    once per diagram of ``enumerate_diagrams(n)``.  Both run in this process
+    and are summed over the quadruples' class ids.  Returns a report with
+    the quadruple count and all nonzero residuals; for the genus polynomial
+    the expected violation count is zero.  ``threads`` is ignored: any
+    value of at least 1 runs the same loop, and a value below 1 raises
+    ``ValueError`` before any work.  The keyword remains only for existing
+    callers and may be removed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
     diagrams = enumerate_diagrams(n)
-    evaluate = pd_genus_polynomial if invariant is None else invariant
-    values = [evaluate(d).coeffs for d in diagrams]
+    polynomials = _gamma_table(n) if invariant is None else map(invariant, diagrams)
+    values = [p.coeffs for p in polynomials]
 
     # Zero tests on coefficient tuples: a polynomial only for a violation.
     violations = []

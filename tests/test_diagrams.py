@@ -220,6 +220,59 @@ class TestClassTable:
         assert d.canonical() is d
 
 
+class TestRotation:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rotation_is_the_number_of_the_word_moved_one_step(self, n):
+        # relabelling the rotated word and looking up its number is an independent oracle
+        rot = diagrams._rotation(n)
+        words = _words(n)
+        assert len(rot) == len(words)
+        for number, word in enumerate(words):
+            assert rot[number] == diagrams._number(normalize_labels(word[1:] + word[:1])), word
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_rotation_applied_2n_times_is_the_identity(self, n):
+        rot = diagrams._rotation(n)
+        x = list(range(len(rot)))
+        for _ in range(2 * n):
+            x = [rot[y] for y in x]
+        assert x == list(range(len(rot)))
+
+    def test_classes_are_the_cycles_of_the_rotation(self):
+        ids, canonical = diagrams._classes(5)
+        rot = diagrams._rotation(5)
+        assert all(ids[rot[x]] == ids[x] for x in range(len(rot)))
+        assert sorted(set(ids)) == list(range(len(canonical)))
+
+    def test_pinned_classes_of_orders_zero_to_seven(self):
+        classes = repr([diagrams._classes(n) for n in range(8)])
+        assert hashlib.sha256(classes.encode()).hexdigest()[:16] == "0f71fcee1b4760ea"
+
+    @pytest.mark.slow
+    def test_pinned_classes_of_order_eight(self):
+        classes = repr(diagrams._classes(8))
+        assert hashlib.sha256(classes.encode()).hexdigest()[:16] == "cbd04298785539f7"
+
+
+class TestFactorIds:
+    @pytest.mark.parametrize("n", range(7))
+    def test_factor_ids_agree_with_join_decompose(self, n):
+        # join_decompose canonicalizes each factor by a rotation search: an independent oracle
+        factor_ids = list(diagrams._factor_ids(n))
+        assert len(factor_ids) == len(enumerate_diagrams(n))
+        for d, factors in zip(enumerate_diagrams(n), factor_ids):
+            expected = d.join_decompose()
+            if len(expected) == 1:
+                assert factors == (), d
+            else:
+                assert factors == tuple((f.order, _class_id(f.word)) for f in expected), d
+
+    def test_factors_of_a_connected_sum(self):
+        # a single chord, then an interlaced pair, then a single chord: two chords, one pair
+        (c,) = [i for i, d in enumerate(enumerate_diagrams(4)) if d == P("1 1 2 3 2 3 4 4")]
+        assert list(diagrams._factor_ids(4))[c] == ((1, 0), (1, 0), (2, 1))
+
+
 class TestNumbering:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_word_number_is_skeleton_and_gap(self, n):

@@ -102,8 +102,9 @@ def test_cli_parses_words_only_in_the_bounded_helper():
     "path", [Path(m.__file__) for m in (weight_system, golden, cli)], ids=lambda p: p.stem
 )
 def test_weight_system_leaves_the_word_format_to_diagrams(path):
-    # class ids come from diagrams' one lookup, never from the numbering or a bisect, and
-    # canonical words, mirror images and interlace bitmasks from ChordDiagram's methods
+    # class ids come from diagrams' one lookup, never from the numbering, the rotation
+    # permutation or a bisect; join factors of a class from _factor_ids, never from interlace
+    # bitmasks, their components or subwords; canonical words and mirror images from ChordDiagram
     imported = {
         name
         for node in ast.walk(_tree(path))
@@ -121,6 +122,9 @@ def test_weight_system_leaves_the_word_format_to_diagrams(path):
             "_least_rotation",
             "_canonical_diagram",
             "_interlace_masks",
+            "_components",
+            "_join_subwords",
+            "_rotation",
         }
     )
 

@@ -16,6 +16,7 @@ from pdgenus.polynomials import IntPolynomial, RationalMatrix
 from pdgenus.weight_system import (
     NoSolutionError,
     NotABasisError,
+    _gamma_table,
     _genus_distribution,
     check_4T,
     check_intersection_graph_invariance,
@@ -121,10 +122,12 @@ class TestGenusPolynomial:
 
 @pytest.fixture
 def cold_gamma():
-    """An empty polynomial cache during the test, and again after it."""
+    """Empty polynomial caches and tables during the test, and again after it."""
     weight_system._gamma.cache_clear()
+    weight_system._gamma_table.cache_clear()
     yield
     weight_system._gamma.cache_clear()
+    weight_system._gamma_table.cache_clear()
 
 
 # walks of a cold cache for all classes of order n: the prime classes of orders 1..n
@@ -173,6 +176,14 @@ class TestFactorAndMirrorShortcuts:
             pd_genus_polynomial(d)
         assert len(walked) == walks
 
+    @pytest.mark.parametrize("n, walks", WALKS)
+    def test_a_cold_check_4T_walks_only_prime_classes_up_to_reflection(
+        self, n, walks, cold_gamma, monkeypatch
+    ):
+        walked = _count_walks(monkeypatch)
+        assert check_4T(n)["violations"] == 0
+        assert len(walked) == walks
+
     def test_walk_counts_are_running_totals_of_prime_classes_up_to_reflection(self):
         primes = [
             len({min(d, d.mirror()) for d in enumerate_diagrams(n) if len(d.join_decompose()) == 1})
@@ -210,6 +221,43 @@ class TestFactorAndMirrorShortcuts:
 
         monkeypatch.setattr(weight_system, "_genus_distribution", corrupted)
         assert check_multiplicativity(2, 2)["violations"] > 0
+
+
+class TestGammaTable:
+    """The polynomials of a whole order by class id: connected sums from the lower tables."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_entry_matches_its_own_walk(self, n):
+        table = _gamma_table(n)
+        assert len(table) == len(enumerate_diagrams(n))
+        for d, polynomial in zip(enumerate_diagrams(n), table):
+            assert polynomial == _genus_distribution(d.to_map()), d
+
+    @pytest.mark.slow
+    def test_every_entry_matches_its_own_walk_at_order_seven(self, cold_gamma):
+        for d, polynomial in zip(enumerate_diagrams(7), _gamma_table(7)):
+            assert polynomial == _genus_distribution(d.to_map()), d
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda factors: factors[1:],  # one factor dropped
+            lambda factors: factors + factors[:1],  # one factor counted twice
+        ],
+    )
+    def test_a_wrong_factor_id_is_a_wrong_entry(self, corrupt, cold_gamma, monkeypatch):
+        factor_ids = diagrams._factor_ids
+
+        def corrupted(n):
+            return (corrupt(factors) if factors else factors for factors in factor_ids(n))
+
+        monkeypatch.setattr(weight_system, "_factor_ids", corrupted)
+        wrong = [
+            d
+            for d, polynomial in zip(enumerate_diagrams(4), _gamma_table(4))
+            if polynomial != _genus_distribution(d.to_map())
+        ]
+        assert wrong
 
 
 def _oracle_quadruple_keys(n):
