@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -27,8 +28,8 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take about 0.5 s, 2 s and 40 s and at most 100 MB (2-CPU machine); at
-# order 8 check4t takes about 35 s and 215 MB, and the exact quotient grows
+# they take about 0.6 s, 2.7 s and 32 s and at most 77 MB (2-CPU machine); at
+# order 8 check4t takes about 33 s and 213 MB, and the exact quotient grows
 # into hours.
 MAX_ORDER = 7
 
@@ -43,6 +44,13 @@ MAX_POLY_SUBSETS = 1 << 20
 # 1 600 chords poly, product, slide and interlace take about 2 s at most
 # (2-CPU machine, CPython 3.11).
 MAX_WORD_CHORDS = 1600
+
+# Most bytes in a map file.  Building a map takes time and memory quadratic
+# in its half-edges (one 1 << edge int per half-edge).  The densest 64 KiB
+# file names about 11 800 half-edges and takes 0.1 s and 31 MB, one vertex
+# of about 6 400 half-edges 0.05 s and 21 MB (2-CPU machine, CPython 3.11);
+# 200 000 half-edges, a 2.7 MB file, took 15 s and 1.4 GB.
+MAX_MAP_BYTES = 64 * 1024
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -145,6 +153,16 @@ def _parse_words(*texts: str) -> list[ChordDiagram]:
     return diagrams
 
 
+def _read_map(path: str) -> CombinatorialMap:
+    """The map in a file, refused above ``MAX_MAP_BYTES`` bytes before it is parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_MAP_BYTES + 1)
+        if len(data) > MAX_MAP_BYTES:
+            size = max(os.fstat(fh.fileno()).st_size, len(data))
+            raise ValueError(f"map file of {size} bytes is above the limit of {MAX_MAP_BYTES}")
+    return CombinatorialMap.from_text(data.decode("utf-8"))
+
+
 def _cmd_poly(args) -> int:
     (diagram,) = _parse_words(args.diagram)
     canon = diagram.canonical()
@@ -184,8 +202,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_genus(args) -> int:
     if args.map is not None:
-        with open(args.map, "r", encoding="utf-8") as fh:
-            m = CombinatorialMap.from_text(fh.read())
+        m = _read_map(args.map)
     else:
         (diagram,) = _parse_words(args.diagram)
         m = diagram.to_map()

@@ -68,13 +68,6 @@ class ChordDiagram:
             pass
         return cls(normalize_labels([ch for ch in text if not ch.isspace()]))
 
-    @classmethod
-    def from_json(cls, data: dict) -> ChordDiagram:
-        return cls(data["word"])
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word)}
-
     @property
     def order(self) -> int:
         return len(self.word) // 2
@@ -86,13 +79,6 @@ class ChordDiagram:
             seen.setdefault(label)
         return tuple(seen)
 
-    def endpoints(self, label: int) -> tuple[int, int]:
-        """The two word positions of a chord."""
-        hits = [i for i, x in enumerate(self.word) if x == label]
-        if len(hits) != 2:
-            raise UnknownChordError(f"no chord labelled {label!r}")
-        return (hits[0], hits[1])
-
     def _canonical_key(self) -> tuple[int, ...]:
         """The canonical word, computed on first use and kept."""
         if self._canonical_word is None:
@@ -103,9 +89,6 @@ class ChordDiagram:
         """Relabel by first occurrence and take the lex-least of all rotations."""
         word = self._canonical_key()
         return self if word == self.word else _canonical_diagram(word)
-
-    def is_canonical(self) -> bool:
-        return self._canonical_key() == self.word
 
     def mirror(self) -> ChordDiagram:
         """The mirror image: the reversed word, in canonical form."""
@@ -266,10 +249,6 @@ class InterlaceSequence:
     counts: tuple[int, ...]
     factors: tuple[tuple[int, ...], ...]
 
-    @property
-    def is_join(self) -> bool:
-        return len(self.factors) > 1
-
     def __str__(self) -> str:
         if len(self.factors) <= 1:
             return "(" + ",".join(map(str, self.counts)) + ")"
@@ -308,14 +287,6 @@ class MultiCircleDiagram:
         if any(s not in ("in", "out") for s in self.side):
             raise ValueError("side flags must be 'in' or 'out'")
 
-    @property
-    def num_circles(self) -> int:
-        return len(self.circles)
-
-    @property
-    def num_chords(self) -> int:
-        return len(self.pairing)
-
     def to_map(self) -> CombinatorialMap:
         size = 2 * len(self.pairing)
         sigma = [0] * size
@@ -341,14 +312,6 @@ class MultiCircleDiagram:
             "pairing": [list(p) for p in self.pairing],
             "side": list(self.side),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> MultiCircleDiagram:
-        return cls(
-            tuple(tuple(c) for c in data["circles"]),
-            tuple(tuple(p) for p in data["pairing"]),
-            tuple(data["side"]),
-        )
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())

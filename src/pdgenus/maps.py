@@ -314,9 +314,6 @@ class CombinatorialMap:
             f"alpha={format_cycles(self.alpha)!r})"
         )
 
-    def to_text(self) -> str:
-        return f"sigma: {format_cycles(self.sigma)}\nalpha: {format_cycles(self.alpha)}\n"
-
     @classmethod
     def from_text(cls, text: str) -> CombinatorialMap:
         """Parse the two-line map format ``sigma: (0 1 2 3)`` / ``alpha: (0 2)(1 3)``."""

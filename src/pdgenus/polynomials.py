@@ -107,10 +107,6 @@ class IntPolynomial:
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> IntPolynomial:
-        return cls(data["coeffs"])
-
 
 def _reduced_echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Reduced row echelon form of sparse rows, as ``{pivot column: row}``.

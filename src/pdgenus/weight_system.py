@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .diagrams import (
     ChordDiagram,
@@ -111,29 +111,22 @@ def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
 SIGNS = (1, -1, 1, -1)
 
 
-def check_4T(
-    n: int,
-    invariant: Callable[[ChordDiagram], IntPolynomial] | None = None,
-    threads: int = 1,
-) -> dict:
-    """Evaluate the alternating sum on every quadruple of order n.
+def check_4T(n: int, threads: int = 1) -> dict:
+    """Evaluate the genus polynomial's alternating sum on every quadruple of order n.
 
-    The genus polynomial, the default invariant, is read from the order's
-    table by class id (``_gamma_table``); any other invariant is evaluated
-    once per diagram of ``enumerate_diagrams(n)``.  Both run in this process
-    and are summed over the quadruples' class ids.  Returns a report with
-    the quadruple count and all nonzero residuals; for the genus polynomial
-    the expected violation count is zero.  ``threads`` is ignored: any
-    value of at least 1 runs the same loop, and a value below 1 raises
-    ``ValueError`` before any work.  The keyword remains only for existing
-    callers and may be removed.
+    The polynomials are read from the order's table by class id
+    (``_gamma_table``) and summed over the quadruples' class ids in this
+    process.  Returns a report with the quadruple count and all nonzero
+    residuals; the paper's theorem is that there are none.  ``threads`` is
+    ignored: any value of at least 1 runs the same loop, and a value below
+    1 raises ``ValueError`` before any work.  The keyword remains only for
+    existing callers and may be removed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
     diagrams = enumerate_diagrams(n)
-    polynomials = _gamma_table(n) if invariant is None else map(invariant, diagrams)
-    values = [p.coeffs for p in polynomials]
+    values = [p.coeffs for p in _gamma_table(n)]
 
     # Zero tests on coefficient tuples: a polynomial only for a violation.
     violations = []

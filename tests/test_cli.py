@@ -10,6 +10,8 @@ import pytest
 
 from pdgenus import cli, diagrams, weight_system
 from pdgenus.cli import main
+from pdgenus.diagrams import ChordDiagram
+from pdgenus.maps import CombinatorialMap, format_cycles
 from pdgenus.polynomials import IntPolynomial
 
 
@@ -297,6 +299,43 @@ print(json.dumps([raised, code, out.getvalue(), err.getvalue()]))
         raised, code, out, err = json.loads(child.stdout)
         assert (raised, code, out) == ("FixedPointError", 1, "")
         assert err.startswith("pdgenus: error:")
+
+    @staticmethod
+    def _padded_map(path, size):
+        """The interlaced pair's map file, padded by a comment to ``size`` bytes."""
+        text = "sigma: (0 1 2 3)\nalpha: (0 2)(1 3)\n#"
+        path.write_text(text + "x" * (size - len(text)))
+
+    def test_map_file_at_the_size_limit_runs(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        self._padded_map(path, cli.MAX_MAP_BYTES)
+        assert run(capsys, "genus", "--map", str(path))[:2] == (0, "1\n")
+
+    def test_map_file_over_the_size_limit_is_refused_before_parsing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("a map was parsed or built")
+
+        monkeypatch.setattr(CombinatorialMap, "__init__", fail)
+        monkeypatch.setattr(CombinatorialMap, "from_text", fail)
+        path = tmp_path / "map.txt"
+        self._padded_map(path, cli.MAX_MAP_BYTES + 1)
+        code, out, err = run(capsys, "genus", "--map", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"pdgenus: error: map file of {cli.MAX_MAP_BYTES + 1} bytes is above the limit "
+            f"of {cli.MAX_MAP_BYTES}\n"
+        )
+
+    def test_map_of_1600_edges_runs(self, capsys, tmp_path):
+        # 800 interlaced pairs in a row on one vertex: genus 800
+        m = ChordDiagram([c for k in range(800) for c in (2 * k, 2 * k + 1) * 2]).to_map()
+        path = tmp_path / "map.txt"
+        path.write_text(f"sigma: {format_cycles(m.sigma)}\nalpha: {format_cycles(m.alpha)}\n")
+        code, out, _ = run(capsys, "genus", "--json", "--map", str(path))
+        assert code == 0
+        assert json.loads(out) == {"genus": 800, "v": 1, "e": 1600, "f": 1, "c": 1}
 
     def test_word_and_map_are_exclusive(self, capsys, tmp_path):
         code, out, _ = run(capsys, "genus", "1 1", "--map", str(tmp_path / "m.txt"))

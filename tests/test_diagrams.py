@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import os
 import random
@@ -54,10 +53,6 @@ class TestParsing:
     def test_empty_diagram(self):
         assert P("").order == 0
 
-    def test_json_round_trip(self):
-        d = P("1 2 2 1 3 3")
-        assert ChordDiagram.from_json(d.to_json()) == d
-
 
 class TestCanonicalForm:
     def test_rotated_interlaced_pair(self):
@@ -107,7 +102,7 @@ class TestMirror:
     def test_mirror_is_the_canonical_reversed_word_and_an_involution(self, n):
         for d in enumerate_diagrams(n):
             mirror = d.mirror()
-            assert mirror.is_canonical(), d
+            assert mirror.canonical().word == mirror.word, d
             assert mirror == ChordDiagram(d.word[::-1]), d
             assert mirror.mirror() == d, d
 
@@ -154,7 +149,7 @@ class TestEnumeration:
     def test_outputs_are_canonical_and_sorted(self):
         for n in (1, 2, 3, 4):
             diagrams = enumerate_diagrams(n)
-            assert all(d.is_canonical() for d in diagrams)
+            assert all(d.canonical().word == d.word for d in diagrams)
             words = [d.word for d in diagrams]
             assert words == sorted(words)
 
@@ -331,7 +326,7 @@ class TestMapConversion:
         for n in range(1, 5):
             for d in enumerate_diagrams(n):
                 mc = from_map(d.to_map())
-                assert mc.num_circles == 1
+                assert len(mc.circles) == 1
                 assert mc.to_diagram() == d
 
     def test_edge_i_is_chord_labels_i(self):
@@ -347,8 +342,8 @@ class TestMapConversion:
         m = CombinatorialMap((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2))
         assert m.genus() == 1
         mc = from_map(m)
-        assert mc.num_circles == 2
-        assert mc.num_chords == 3
+        assert len(mc.circles) == 2
+        assert len(mc.pairing) == 3
         assert set(mc.side) == {"in"}
 
 
@@ -401,7 +396,7 @@ class TestInterlacement:
     def test_join_sequence_display(self):
         seq = P("1 2 1 2 3 4 3 4").interlace_sequence()
         assert str(seq) == "(1,1)∨(1,1)"
-        assert seq.is_join
+        assert len(seq.factors) > 1
 
     def test_quadruple_join_display(self):
         seq = P("1 1 2 2 3 3 4 4").interlace_sequence()
@@ -425,7 +420,7 @@ class TestInterlacement:
 def _factors_by_endpoint_scans(d):
     """Interlace graph and join factors from one endpoint scan per chord."""
     labels = d.labels()
-    spans = [d.endpoints(label) for label in labels]
+    spans = [[i for i, x in enumerate(d.word) if x == label] for label in labels]
     n = len(labels)
     matrix = [
         [int(sum(spans[i][0] < p < spans[i][1] for p in spans[j]) == 1) for j in range(n)]
@@ -528,20 +523,20 @@ class TestCaravan:
 class TestPartialDualDiagram:
     def test_chain_at_end_chord(self):
         mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        assert mc.num_circles == 2
+        assert len(mc.circles) == 2
         assert mc.to_map().genus() == 1
         assert sorted(mc.side) == ["in", "in", "out"]
 
     def test_chain_at_middle_chord_is_planar(self):
         # the chord drawn through the middle: dualizing it flattens the surface
         mc = partial_dual_diagram(P("1 2 1 3 2 3"), {2})
-        assert mc.num_circles == 2
+        assert len(mc.circles) == 2
         assert mc.to_map().genus() == 0
 
     def test_empty_subset_is_the_diagram(self):
         d = P("1 2 1 3 2 3")
         mc = partial_dual_diagram(d, set())
-        assert mc.num_circles == 1
+        assert len(mc.circles) == 1
         assert mc.to_diagram() == d
 
     def test_unknown_chord_rejected(self):
@@ -558,11 +553,6 @@ class TestPartialDualDiagram:
 
 
 class TestMultiCircleDiagram:
-    def test_json_round_trip(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        payload = json.loads(json.dumps(mc.to_json()))
-        assert MultiCircleDiagram.from_json(payload) == mc
-
     def test_invalid_pairing_rejected(self):
         with pytest.raises(ValueError):
             MultiCircleDiagram(((0, 1),), ((0, 0),), ("in",))

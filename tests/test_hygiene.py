@@ -1,6 +1,6 @@
 """Source-level guards of the package: standard library only, no eval, no floats,
-no lazily filled map attributes, every command-line word bounded, the word format
-kept behind ``diagrams``."""
+no lazily filled map attributes, every command-line word and map file bounded, the
+word format kept behind ``diagrams``."""
 
 import ast
 import sys
@@ -98,35 +98,41 @@ def test_cli_parses_words_only_in_the_bounded_helper():
     assert callers == ["_parse_words"]
 
 
+def test_cli_reads_map_files_only_in_the_bounded_helper():
+    # every map file goes through _read_map, which enforces MAX_MAP_BYTES
+    callers = {
+        function.name
+        for function in ast.walk(_tree(Path(cli.__file__)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "open"
+        or isinstance(node, ast.Attribute) and node.attr in ("open", "from_text")
+    }
+    assert callers == {"_read_map"}
+
+
 @pytest.mark.parametrize(
     "path", [Path(m.__file__) for m in (weight_system, golden, cli)], ids=lambda p: p.stem
 )
 def test_weight_system_leaves_the_word_format_to_diagrams(path):
-    # class ids come from diagrams' one lookup, never from the numbering, the rotation
-    # permutation or a bisect; join factors of a class from _factor_ids, never from interlace
-    # bitmasks, their components or subwords; canonical words and mirror images from ChordDiagram
-    imported = {
-        name
-        for node in ast.walk(_tree(path))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
+    # Of diagrams' private names only the two lookups by class id may be imported:
+    # _class_id (the class of a word) and _factor_ids (the join factors of a class).
+    # The rest of the word format (normalization, numbering, rotation, interlace
+    # bitmasks) stays behind ChordDiagram, and bisect is not needed to find a class.
+    imports = [
+        node for node in ast.walk(_tree(path)) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    names = {alias.name for node in imports for alias in node.names}
+    private = {
+        alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("diagrams")
+        for alias in node.names
+        if alias.name.startswith("_")
     }
-    assert imported and imported.isdisjoint(
-        {
-            "class_table",
-            "normalize_labels",
-            "_numbering",
-            "_number",
-            "_classes",
-            "bisect",
-            "_least_rotation",
-            "_canonical_diagram",
-            "_interlace_masks",
-            "_components",
-            "_join_subwords",
-            "_rotation",
-        }
-    )
+    modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert imports and private <= {"_class_id", "_factor_ids"}
+    assert names.isdisjoint({"normalize_labels", "bisect"}) and "bisect" not in modules
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

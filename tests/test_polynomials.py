@@ -55,17 +55,11 @@ class TestIntPolynomial:
         assert str(P(1, 0, -1)) == "1 - z^2"
         assert str(IntPolynomial()) == "0"
 
-    def test_json_round_trip(self):
-        p = P(2, 0, 5)
-        assert IntPolynomial.from_json(p.to_json()) == p
-
     @pytest.mark.parametrize("coeffs", [[0.5, 2.9], [Fraction(7, 2)], [Fraction(4, 1)], [1, "3"]])
     def test_inexact_coefficients_rejected(self, coeffs):
         # int() would read these as 2z, 3, 4 and 1 + 3z
         with pytest.raises(TypeError):
             IntPolynomial(coeffs)
-        with pytest.raises(TypeError):
-            IntPolynomial.from_json({"coeffs": coeffs})
 
 
 def dense(rows):

@@ -399,29 +399,28 @@ class TestCheck4T:
         ).stdout
         assert out.strip() == "False"
 
-    def test_threads_below_one_rejected_before_any_work(self):
+    def test_threads_below_one_rejected_before_any_work(self, monkeypatch):
         calls = []
+        for name in ("_gamma_table", "generate_4T_quadruples"):
+            monkeypatch.setattr(weight_system, name, calls.append)
         with pytest.raises(ValueError, match="threads"):
-            check_4T(4, invariant=calls.append, threads=0)
+            check_4T(4, threads=0)
         assert calls == []
 
-    def test_invariant_evaluated_once_per_class(self):
-        seen = []
+    @staticmethod
+    def _tabulate(monkeypatch, invariant):
+        """Make check_4T read ``invariant`` of each class in place of the genus polynomial."""
+        monkeypatch.setattr(
+            weight_system, "_gamma_table", lambda n: tuple(map(invariant, enumerate_diagrams(n)))
+        )
 
-        def genus_polynomial(d):
-            seen.append(d.word)
-            return pd_genus_polynomial(d)
-
-        report = check_4T(4, invariant=genus_polynomial)
-        assert report["violations"] == 0
-        assert seen == [d.word for d in enumerate_diagrams(4)]
-
-    def test_broken_invariant_is_reported(self):
+    def test_broken_invariant_is_reported(self, monkeypatch):
         # indicator of an isolated chord: not a weight system
         def has_isolated_chord(d):
             return IntPolynomial([1 if 0 in d.interlace_sequence().counts else 0])
 
-        report = check_4T(3, invariant=has_isolated_chord)
+        self._tabulate(monkeypatch, has_isolated_chord)
+        report = check_4T(3)
         assert report["violations"] > 0
         first = report["violations_list"][0]
         assert set(first) == {"quadruple", "residual"}
@@ -432,7 +431,7 @@ class TestCheck4T:
             "residual": {"coeffs": [1]},
         }
 
-    def test_residual_only_in_the_top_coefficient(self):
+    def test_residual_only_in_the_top_coefficient(self, monkeypatch):
         # 1 + z^2 on a seeded half of the classes and 1 elsewhere: the four
         # values have different lengths, and a residual shows only at z^2
         diagrams = enumerate_diagrams(4)
@@ -453,16 +452,28 @@ class TestCheck4T:
         # and where the first equals the third and the second the fourth
         assert any(m[0] == m[1] and m[2] != m[3] for m in patterns)
         assert any(m[0] == m[2] != m[1] == m[3] for m in patterns)
-        report = check_4T(4, invariant=lambda d: values[d.word])
+        self._tabulate(monkeypatch, lambda d: values[d.word])
+        report = check_4T(4)
         assert report["violations"] == len(expected)
         assert report["violations_list"] == expected
 
-    def test_bare_genus_passes_by_slide_pairing(self):
+    def test_bare_genus_passes_by_slide_pairing(self, monkeypatch):
         # the quadruple partners differ by single edge slides, so genus
         # itself cancels in the alternating sum; this is a consequence of
         # slide invariance, not a defect of the harness
-        report = check_4T(4, invariant=lambda d: IntPolynomial([d.genus()]))
-        assert report["violations"] == 0
+        self._tabulate(monkeypatch, lambda d: IntPolynomial([d.genus()]))
+        assert check_4T(4)["violations"] == 0
+
+    @pytest.mark.parametrize("n, violations", [(3, 2), (4, 12), (5, 80)])
+    def test_a_wrong_walk_is_a_violation(self, n, violations, cold_gamma, monkeypatch):
+        # A wrong walk of the order-2 prime reaches check_4T(n) only through
+        # the table entries of the products that have it as a factor.
+        def corrupted(m):
+            walked = _genus_distribution(m)
+            return walked + IntPolynomial([1]) if m.num_edges == 2 else walked
+
+        monkeypatch.setattr(weight_system, "_genus_distribution", corrupted)
+        assert check_4T(n)["violations"] == violations
 
 
 class TestQuotientDimensions:
