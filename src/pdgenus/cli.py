@@ -28,7 +28,7 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take about 0.6 s, 2.7 s and 32 s and at most 77 MB (2-CPU machine); at
+# they take about 0.6 s, 2.7 s and 7 s and at most 77 MB (2-CPU machine); at
 # order 8 check4t takes about 33 s and 213 MB, and the exact quotient grows
 # into hours.
 MAX_ORDER = 7

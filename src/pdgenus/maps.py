@@ -131,7 +131,8 @@ class CombinatorialMap:
         # The boundary walks step by sigma∘alpha and test each half-edge's edge
         # bit; a vertex's edge mask is the sum (the union) of its distinct bits.
         self._face_step = tuple(sigma[a] for a in alpha)
-        bits = self._edge_bits = tuple(1 << edge for edge in edge_of)
+        edge_bits = [1 << i for i in range(len(self.edges))]  # one int per edge, shared by its ends
+        bits = self._edge_bits = tuple(edge_bits[edge] for edge in edge_of)
         self._vertex_masks = tuple(sum({bits[h] for h in cyc}) for cyc in self._vertices)
 
     # -- basic counting -------------------------------------------------

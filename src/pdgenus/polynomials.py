@@ -7,6 +7,7 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -108,45 +109,61 @@ class IntPolynomial:
         return {"coeffs": list(self.coeffs)}
 
 
-def _reduced_echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _reduced_echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of sparse rows, as ``{pivot column: row}``.
 
-    A row maps column -> nonzero Fraction.  Each incoming row is reduced
-    against the pivot rows it touches; a nonzero remainder is scaled to 1 at
-    its lowest column, which becomes a new pivot and is cleared from the
-    earlier pivot rows.  The pivot rows therefore stay fully reduced, and
-    the result is the unique RREF of the rows' span, whatever their order.
-    The input rows are not modified.
+    A row maps column -> nonzero int or Fraction and is scaled to integers.
+    Each incoming row is reduced against the pivot rows it touches; a nonzero
+    remainder becomes a pivot at its lowest column, which is then cleared
+    from the earlier pivot rows.  Each new or updated pivot row is divided by
+    the gcd of its entries, pivot entry positive: it is the row of the unique
+    RREF, whatever the row order, times a positive integer, and the RREF
+    entry at column j is ``row[j] / row[pivot]``.  The input is not modified.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     # Taken in decreasing order of their lowest column, most rows become
     # pivots left of every earlier pivot row, so little needs clearing:
     # at order 6 this does about a fifth of the arithmetic of the given order.
     for source in sorted(filter(None, rows), key=min, reverse=True):
         row = dict(source)
+        if not all(type(v) is int for v in row.values()):
+            scale = math.lcm(*[v.denominator for v in row.values()])
+            row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
         for col in [c for c in source if c in pivots]:
             _clear_column(row, col, pivots[col])
         if not row:
             continue
         lead = min(row)
-        inv = 1 / row[lead]
-        row = {j: v * inv for j, v in row.items()}
-        for prow in pivots.values():
+        _make_primitive(row, lead)
+        for pcol, prow in pivots.items():
             if lead in prow:
                 _clear_column(prow, lead, row)
+                _make_primitive(prow, pcol)
         pivots[lead] = row
     return pivots
 
 
-def _clear_column(row: dict[int, Fraction], col: int, prow: dict[int, Fraction]) -> None:
-    """Clear ``col`` from ``row`` by subtracting ``row[col]`` times ``prow`` (1 at ``col``)."""
-    factor = row[col]
+def _clear_column(row: dict[int, int], col: int, prow: dict[int, int]) -> None:
+    """``row = a*row - b*prow`` for ``a/b = prow[col]/row[col]`` in lowest terms (``a > 0``)."""
+    g = math.gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, v in prow.items():
-        w = row.get(j, 0) - factor * v
+        w = row.get(j, 0) - b * v
         if w:
             row[j] = w
         else:
             del row[j]
+
+
+def _make_primitive(row: dict[int, int], pivot: int) -> None:
+    """Divide ``row`` by the gcd of its entries, signed so that ``row[pivot]`` is positive."""
+    g = math.gcd(*row.values()) if row[pivot] > 0 else -math.gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
 
 
 def _exact(x: object) -> Fraction:
@@ -159,8 +176,9 @@ def _exact(x: object) -> Fraction:
 class RationalMatrix:
     """Matrix over the exact rationals, stored as sparse rows.
 
-    Each row is a ``{column: Fraction}`` dict without zero entries; ``rank``,
-    ``solve`` and ``nullspace`` share one exact sparse eliminator.
+    Each row is a ``{column: value}`` dict without zero entries, each value
+    an ``int`` or a ``Fraction``; ``rank``, ``solve`` and ``nullspace`` share
+    one exact sparse eliminator, which works on integer rows.
     """
 
     __slots__ = ("rows", "num_cols")
@@ -168,9 +186,9 @@ class RationalMatrix:
     def __init__(self, rows: Iterable[Mapping[int, object]], num_cols: int) -> None:
         """Rows are ``{column: value}`` mappings; zeros are dropped, floats raise ``TypeError``."""
         self.num_cols = num_cols
-        # an int needs no float check; calling _exact on every entry made the build 12% slower
+        # an int is kept as it is; calling _exact on every entry made the build 12% slower
         self.rows = tuple(
-            {j: Fraction(x) if type(x) is int else _exact(x) for j, x in row.items() if x}
+            {j: x if type(x) is int else _exact(x) for j, x in row.items() if x}
             for row in rows
         )
         for row in self.rows:
@@ -196,7 +214,7 @@ class RationalMatrix:
             return None
         x = [Fraction(0)] * m
         for col, row in pivots.items():
-            x[col] = row.get(m, Fraction(0))
+            x[col] = Fraction(row.get(m, 0), row[col])
         return x
 
     def nullspace(self) -> list[dict[int, Fraction]]:
@@ -210,5 +228,5 @@ class RationalMatrix:
         for col, row in pivots.items():
             for j, v in row.items():
                 if j != col:  # a reduced row is nonzero only at its pivot and at free columns
-                    vectors[j][col] = -v
+                    vectors[j][col] = Fraction(-v, row[col])
         return list(vectors.values())

@@ -436,6 +436,7 @@ class TestReportDigests:
             ("check4t 4", "9433cff5184f557ffa3bf5d971137b69329ab2d24f58b8b74daf5ada705eabfc"),
             ("check4t 5", "5d18589ee7e7fa3b0d44544b47abd06eeb3e960328c8b675573b08d32b194238"),
             ("dims 5", "183a88b2bcc261705791461184d2eb1ad9ccf1c2b1b2cc114c97cf0a43c77044"),
+            ("dims 6", "1efeb6b75a1209fb33882386ebcf582a48634124a0c6c79233916c3e316d3bf7"),
             ("table", "7e791abea2a52e9b1b5b3c682cbfb699156411774fe222140111cc359b9b9ae3"),
         ],
     )
@@ -449,7 +450,7 @@ class TestReadmeCommands:
     """Every ``pdgenus`` line of the README's command-line block runs."""
 
     SKIPPED = {
-        ("dims", "7", "--json"),  # about 40 s
+        ("dims", "7", "--json"),  # about 7 s; pytest -m slow checks dim_quotient(7)
         ("genus", "--map", "path/to/map.txt"),  # a placeholder path
     }
     STDOUT = {

@@ -215,6 +215,13 @@ class TestFastGenusPath:
     def test_chain_at_middle_loop(self):
         assert three_loop_chain().genus_of_partial_dual([1]) == 0
 
+    def test_both_ends_of_an_edge_share_one_bit(self):
+        # 80 edges: bits above 1 << 8 are not CPython's cached small ints
+        m = random_map(random.Random(3), 80)
+        for h, bit in enumerate(m._edge_bits):
+            assert bit == 1 << m._edge_of[h]
+            assert bit is m._edge_bits[m.alpha[h]]
+
     @pytest.mark.parametrize("subset", [-1, 8, [3]])
     def test_subset_outside_the_map_rejected(self, subset):
         m = three_loop_chain()

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from pdgenus.polynomials import IntPolynomial, RationalMatrix
+from pdgenus.polynomials import IntPolynomial, RationalMatrix, _reduced_echelon
+from pdgenus.weight_system import quadruple_vectors
 
 
 def P(*coeffs):
@@ -120,6 +122,26 @@ class TestRationalMatrix:
         for column in (-1, 2):
             with pytest.raises(ValueError):
                 RationalMatrix([{0: 1}, {column: 1}], num_cols=2)
+
+
+class TestIntegerEliminator:
+    def test_rank_builds_no_fraction(self, monkeypatch):
+        m = RationalMatrix(quadruple_vectors(5), num_cols=105)
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("the eliminator built a Fraction")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert m.rank() == 95
+
+    def test_pivot_rows_are_primitive_integer_rows(self):
+        pivots = _reduced_echelon(quadruple_vectors(5))
+        assert len(pivots) == 95
+        for col, row in pivots.items():
+            assert all(type(v) is int for v in row.values())
+            assert math.gcd(*row.values()) == 1
+            assert col == min(row) and row[col] > 0
+            assert not (row.keys() - {col}) & pivots.keys()
 
 
 def _oracle_rank(rows):

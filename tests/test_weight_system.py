@@ -476,7 +476,28 @@ class TestCheck4T:
         assert check_4T(n)["violations"] == violations
 
 
+# Dimensions P_1..P_7 of the primitive space of the quotient (Bar-Natan, Topology 1995)
+PRIMITIVE_DIMENSIONS = (1, 1, 1, 2, 3, 5, 8)
+
+
+def _euler_transform(primitives, top):
+    """Coefficients of x**0..x**top in the product over k of (1 - x**k) ** -primitives[k - 1]."""
+    series = [1] + [0] * top
+    for k, count in enumerate(primitives, 1):
+        for _ in range(count):
+            for i in range(k, top + 1):  # times 1 / (1 - x**k)
+                series[i] += series[i - k]
+    return series
+
+
 class TestQuotientDimensions:
+    def test_milnor_moore(self):
+        # the quotient is a graded commutative and cocommutative Hopf algebra,
+        # so it is the polynomial algebra on its primitives
+        assert [dim_quotient(n) for n in range(7)] == _euler_transform(
+            PRIMITIVE_DIMENSIONS[:6], 6
+        )
+
     def test_published_dimensions(self):
         assert [dim_quotient(n) for n in (0, 1, 2, 3, 4)] == [1, 1, 2, 3, 6]
 
@@ -497,7 +518,7 @@ class TestQuotientDimensions:
 
     @pytest.mark.slow
     def test_order_seven_is_bar_natans_thirtythree(self):
-        assert dim_quotient(7) == 33
+        assert dim_quotient(7) == 33 == _euler_transform(PRIMITIVE_DIMENSIONS, 7)[7]
 
 
 class TestExpressModulo4T:
