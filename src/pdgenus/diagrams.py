@@ -230,9 +230,29 @@ def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
 
 
 def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The least first-occurrence-normalized rotation of a word, one rotation held at a time."""
-    rotations = (normalize_labels(word[s:] + word[:s]) for s in range(len(word)))
-    return min(rotations, default=())
+    """The least first-occurrence-normalized rotation of a word, one rotation held at a time.
+
+    The normalized rotation from start s reads 1, 2, 3, ... until its first
+    closing letter, which is less than the next new label; so a rotation
+    that closes a chord earlier is lesser.  With ``ahead[q]`` the distance
+    forward from position q to its partner, a rotation from s closes no
+    earlier than ``min(ahead)`` letters in, and exactly then when
+    ``ahead[s]`` is that minimum: a chord that closed earlier would itself
+    be shorter.  Only those starts are normalized in full.  The cost is
+    linear in the word plus one normalization per such start, so words
+    with many equally short chords, such as runs of interlaced pairs, stay
+    quadratic.
+    """
+    size = len(word)
+    first: dict[Hashable, int] = {}
+    ahead = [0] * size
+    for q, label in enumerate(word):
+        p = first.setdefault(label, q)
+        if p != q:
+            ahead[p], ahead[q] = q - p, size - (q - p)
+    shortest = min(ahead, default=0)
+    starts = (s for s, distance in enumerate(ahead) if distance == shortest)
+    return min((normalize_labels(word[s:] + word[:s]) for s in starts), default=())
 
 
 def _canonical_diagram(word: tuple[int, ...]) -> ChordDiagram:

@@ -229,7 +229,7 @@ class CombinatorialMap:
         seen = [False] * len(sigma)
         count = 0
         for start, bit in enumerate(bits):
-            if seen[start] or not mask & bit:
+            if not mask & bit or seen[start]:
                 continue
             count += 1
             h = start
@@ -238,7 +238,10 @@ class CombinatorialMap:
                 h = step[h]
                 while not mask & bits[h]:
                     h = sigma[h]
-        return count + sum(1 for vertex_mask in self._vertex_masks if not mask & vertex_mask)
+        for vertex_mask in self._vertex_masks:
+            if not mask & vertex_mask:
+                count += 1
+        return count
 
     def genus_of_partial_dual(self, subset: EdgeSubset | Iterable[int]) -> int:
         """Genus of the partial dual without constructing it.

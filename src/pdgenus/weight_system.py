@@ -116,31 +116,35 @@ def check_4T(n: int, threads: int = 1) -> dict:
 
     The polynomials are read from the order's table by class id
     (``_gamma_table``) and summed over the quadruples' class ids in this
-    process.  Returns a report with the quadruple count and all nonzero
-    residuals; the paper's theorem is that there are none.  ``threads`` is
-    ignored: any value of at least 1 runs the same loop, and a value below
-    1 raises ``ValueError`` before any work.  The keyword remains only for
-    existing callers and may be removed.
+    process, each as one exact integer: its value at a power of two wide
+    enough that a sum is zero only for a zero residual.  Returns a report
+    with the quadruple count and all nonzero residuals; the paper's theorem
+    is that there are none.  ``threads`` is ignored: any value of at least
+    1 runs the same loop, and a value below 1 raises ``ValueError`` before
+    any work.  The keyword remains only for existing callers and may be
+    removed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
     diagrams = enumerate_diagrams(n)
-    values = [p.coeffs for p in _gamma_table(n)]
+    coeffs = [p.coeffs for p in _gamma_table(n)]
+    # Each polynomial as its value at z = 2**shift.  A residual's coefficients
+    # are then below 2**(shift - 1) in size, so its value at z is zero only
+    # when every coefficient is.  The shift comes from the table itself, not
+    # from n, so that it holds for any tabulated invariant.
+    shift = 3 + max((c.bit_length() for cs in coeffs for c in cs), default=0)
+    values = [sum(c << shift * k for k, c in enumerate(cs)) for cs in coeffs]
 
-    # Zero tests on coefficient tuples: a polynomial only for a violation.
+    # Coefficients and a polynomial only for a violation.
     violations = []
-    for quad in quadruples:
-        a, b, c, d = (values[i] for i in quad)
-        if (a == b and c == d) or (a == d and b == c):
-            continue
-        padded = itertools.zip_longest(a, b, c, d, fillvalue=0)
-        residual = [w - x + y - z for w, x, y, z in padded]
-        if any(residual):
+    for a, b, c, d in quadruples:
+        if values[a] - values[b] + values[c] - values[d]:
+            padded = itertools.zip_longest(coeffs[a], coeffs[b], coeffs[c], coeffs[d], fillvalue=0)
             violations.append(
                 {
-                    "quadruple": [str(diagrams[i]) for i in quad],
-                    "residual": IntPolynomial(residual).to_json(),
+                    "quadruple": [str(diagrams[i]) for i in (a, b, c, d)],
+                    "residual": IntPolynomial(w - x + y - z for w, x, y, z in padded).to_json(),
                 }
             )
     return {

@@ -97,6 +97,53 @@ class TestCanonicalForm:
             P("1 2 1 2") < 1
 
 
+def _least_rotation_oracle(word):
+    """The least normalized rotation by its definition: every rotation normalized in full."""
+    return min((normalize_labels(word[s:] + word[:s]) for s in range(len(word))), default=())
+
+
+def _random_word(rng, n, labels=range):
+    word = [label for label in labels(n) for _ in range(2)]
+    rng.shuffle(word)
+    return tuple(word)
+
+
+class TestLeastRotation:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_word_matches_the_all_rotations_minimum(self, n):
+        for word in _words(n):
+            for variant in (word, word[1:] + word[:1], word[3:] + word[:3], word[::-1]):
+                expected = _least_rotation_oracle(variant)
+                assert diagrams._least_rotation(variant) == expected, variant
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_random_words_match_the_all_rotations_minimum(self, n):
+        rng = random.Random(n)
+        for _ in range(100):
+            word = _random_word(rng, n)
+            assert diagrams._least_rotation(word) == _least_rotation_oracle(word), word
+
+    def test_labels_need_not_be_integers(self):
+        rng = random.Random(2)
+        for n in range(1, 9):
+            for labels in (lambda k: "abcdefgh"[:k], lambda k: [(i, "x") for i in range(k)]):
+                word = _random_word(rng, n, labels)
+                assert diagrams._least_rotation(word) == _least_rotation_oracle(word), word
+
+    def test_a_random_word_normalizes_at_most_two_rotations(self, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(len(word))
+            return normalize_labels(word)
+
+        word = _random_word(random.Random(50), 50)
+        expected = _least_rotation_oracle(word)
+        monkeypatch.setattr(diagrams, "normalize_labels", counted)
+        assert diagrams._least_rotation(word) == expected
+        assert calls and len(calls) <= 2
+
+
 class TestMirror:
     @pytest.mark.parametrize("n", range(7))
     def test_mirror_is_the_canonical_reversed_word_and_an_involution(self, n):

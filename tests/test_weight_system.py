@@ -457,6 +457,37 @@ class TestCheck4T:
         assert report["violations"] == len(expected)
         assert report["violations_list"] == expected
 
+    @pytest.mark.parametrize(
+        "odd, even, residuals",
+        [
+            ([1 << 6], [0, 1], [[-64, 1], [64, -1]]),
+            # z**2 cancels in every residual; a shift from the largest signed
+            # coefficient, 4, would again be 6
+            ([-(1 << 6), 0, 4], [0, -1, 4], [[64, -1], [-64, 1]]),
+        ],
+    )
+    def test_residual_test_reads_the_shift_from_the_table(self, odd, even, residuals, monkeypatch):
+        # At order 3 the constant 2**(3 + 3) on odd class ids equals z on even
+        # ones at z = 2**6: a shift fixed at n + 3 would find no violation.
+        odd, even = IntPolynomial(odd), IntPolynomial(even)
+        monkeypatch.setattr(
+            weight_system,
+            "_gamma_table",
+            lambda n: tuple(odd if i % 2 else even for i in range(len(enumerate_diagrams(n)))),
+        )
+        report = check_4T(3)
+        assert report["violations"] == 2
+        assert report["violations_list"] == [
+            {
+                "quadruple": ["1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3", "1 2 1 3 2 3"],
+                "residual": {"coeffs": residuals[0]},
+            },
+            {
+                "quadruple": ["1 2 1 3 2 3", "1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3"],
+                "residual": {"coeffs": residuals[1]},
+            },
+        ]
+
     def test_bare_genus_passes_by_slide_pairing(self, monkeypatch):
         # the quadruple partners differ by single edge slides, so genus
         # itself cancels in the alternating sum; this is a consequence of
