@@ -29,7 +29,7 @@ VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
 # they take about 0.6 s, 2.7 s and 7 s and at most 77 MB (2-CPU machine); at
-# order 8 check4t takes about 33 s and 213 MB, and the exact quotient grows
+# order 8 check4t takes about 33 s and 216 MB, and the exact quotient grows
 # into hours.
 MAX_ORDER = 7
 

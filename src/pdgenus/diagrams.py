@@ -165,9 +165,14 @@ class ChordDiagram:
         the interlace graph, each read off in circle order.  Factors are
         canonical and sorted by order, then word.
         """
-        subwords = _join_subwords(self.word)
-        if len(subwords) == 1:
+        components = list(_components(_interlace_masks(self.word)))
+        if len(components) == 1:
             return [self.canonical()]  # prime
+        labels = self.labels()  # first-occurrence order, as the masks number chords
+        part = {labels[i]: k for k, component in enumerate(components) for i in component}
+        subwords: list[list[int]] = [[] for _ in components]
+        for label in self.word:
+            subwords[part[label]].append(label)
         factors = [_canonical_diagram(_least_rotation(tuple(sub))) for sub in subwords]
         factors.sort(key=lambda d: (d.order, d.word))
         return factors
@@ -207,22 +212,6 @@ def _components(masks: list[int]) -> Iterator[list[int]]:
         yield component
 
 
-def _join_subwords(word: Sequence[Hashable]) -> list[Sequence[Hashable]]:
-    """The join factors of a word: one subword per interlace component, in circle order.
-
-    A prime word is its own one factor.
-    """
-    components = list(_components(_interlace_masks(word)))
-    if len(components) == 1:
-        return [word]
-    labels = list(dict.fromkeys(word))  # first-occurrence order, as the masks number chords
-    part = {labels[i]: k for k, component in enumerate(components) for i in component}
-    subwords: list[list[Hashable]] = [[] for _ in components]
-    for label in word:
-        subwords[part[label]].append(label)
-    return subwords
-
-
 def normalize_labels(word: Iterable[Hashable]) -> tuple[int, ...]:
     """Relabel a word by first occurrence: 1, 2, 3, ... in reading order."""
     relabel: dict[Hashable, int] = {}
@@ -251,14 +240,16 @@ def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
         if p != q:
             ahead[p], ahead[q] = q - p, size - (q - p)
     shortest = min(ahead, default=0)
+    if 2 * shortest == size:  # the word is w + w: every rotation normalizes to 1..n 1..n
+        return normalize_labels(word)
     starts = (s for s, distance in enumerate(ahead) if distance == shortest)
     return min((normalize_labels(word[s:] + word[:s]) for s in starts), default=())
 
 
 def _canonical_diagram(word: tuple[int, ...]) -> ChordDiagram:
-    """A diagram whose word is known to be canonical."""
-    diagram = ChordDiagram(word)
-    diagram._canonical_word = diagram.word
+    """A diagram whose word is known to be canonical, so valid: built without the checks."""
+    diagram = ChordDiagram.__new__(ChordDiagram)
+    diagram.word = diagram._canonical_word = word
     return diagram
 
 
@@ -504,20 +495,6 @@ def _class_id(word: Sequence[Hashable]) -> int:
     """The class id of a word of any labels and rotation, read at its chord-insertion number."""
     r = normalize_labels(word)
     return _classes(len(r) // 2)[0][_number(r)] if r else 0
-
-
-def _factor_ids(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The join factors of each class of order n, in id order, as sorted (order, id) pairs.
-
-    A prime class yields ``()``.  The factors of a connected sum are the
-    ``_join_subwords`` of its canonical word, each looked up by ``_class_id``.
-    """
-    for word in _classes(n)[1]:
-        subwords = _join_subwords(word)
-        if len(subwords) < 2:
-            yield ()
-        else:
-            yield tuple(sorted((len(s) // 2, _class_id(s)) for s in subwords))
 
 
 @lru_cache(maxsize=None)

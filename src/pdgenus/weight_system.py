@@ -20,7 +20,6 @@ from typing import Sequence
 from .diagrams import (
     ChordDiagram,
     _class_id,
-    _factor_ids,
     enumerate_diagrams,
     generate_4T_quadruples,
     product,
@@ -88,20 +87,13 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
     return _genus_distribution(g)
 
 
-@lru_cache(maxsize=None)
 def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
-    """The polynomial of every class of order n, by class id.
+    """The polynomial of every class of order n, by class id: ``pd_genus_polynomial`` of each.
 
-    A connected sum is the product of its factors' entries in the tables
-    of their orders; a prime class goes through ``pd_genus_polynomial``.
+    Not cached: ``_gamma`` keeps every entry, so a second table is a map of
+    cache hits.
     """
-    diagrams = enumerate_diagrams(n)
-    return tuple(
-        math.prod(_gamma_table(order)[c] for order, c in factors)
-        if factors
-        else pd_genus_polynomial(diagrams[c])
-        for c, factors in enumerate(_factor_ids(n))
-    )
+    return tuple(map(pd_genus_polynomial, enumerate_diagrams(n)))
 
 
 # -- four-term quadruples --------------------------------------------------
@@ -114,15 +106,15 @@ SIGNS = (1, -1, 1, -1)
 def check_4T(n: int, threads: int = 1) -> dict:
     """Evaluate the genus polynomial's alternating sum on every quadruple of order n.
 
-    The polynomials are read from the order's table by class id
-    (``_gamma_table``) and summed over the quadruples' class ids in this
-    process, each as one exact integer: its value at a power of two wide
-    enough that a sum is zero only for a zero residual.  Returns a report
-    with the quadruple count and all nonzero residuals; the paper's theorem
-    is that there are none.  ``threads`` is ignored: any value of at least
-    1 runs the same loop, and a value below 1 raises ``ValueError`` before
-    any work.  The keyword remains only for existing callers and may be
-    removed.
+    Each class's polynomial is ``pd_genus_polynomial`` of its diagram, read
+    by class id from the order's table (``_gamma_table``) and summed over
+    the quadruples' class ids in this process, each as one exact integer:
+    its value at a power of two wide enough that a sum is zero only for a
+    zero residual.  Returns a report with the quadruple count and all
+    nonzero residuals; the paper's theorem is that there are none.
+    ``threads`` is ignored: any value of at least 1 runs the same loop, and
+    a value below 1 raises ``ValueError`` before any work.  The keyword
+    remains only for existing callers and may be removed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

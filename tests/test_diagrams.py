@@ -143,6 +143,20 @@ class TestLeastRotation:
         assert diagrams._least_rotation(word) == expected
         assert calls and len(calls) <= 2
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_a_word_of_diameters_normalizes_once(self, n, monkeypatch):
+        # every chord joins opposite points, so every start is at a shortest chord
+        calls = []
+
+        def counted(word):
+            calls.append(len(word))
+            return normalize_labels(word)
+
+        word = tuple(random.Random(n).sample(range(n), n)) * 2
+        monkeypatch.setattr(diagrams, "normalize_labels", counted)
+        assert diagrams._least_rotation(word) == tuple(range(1, n + 1)) * 2
+        assert calls == [2 * n]
+
 
 class TestMirror:
     @pytest.mark.parametrize("n", range(7))
@@ -294,25 +308,6 @@ class TestRotation:
     def test_pinned_classes_of_order_eight(self):
         classes = repr(diagrams._classes(8))
         assert hashlib.sha256(classes.encode()).hexdigest()[:16] == "cbd04298785539f7"
-
-
-class TestFactorIds:
-    @pytest.mark.parametrize("n", range(7))
-    def test_factor_ids_agree_with_join_decompose(self, n):
-        # join_decompose canonicalizes each factor by a rotation search: an independent oracle
-        factor_ids = list(diagrams._factor_ids(n))
-        assert len(factor_ids) == len(enumerate_diagrams(n))
-        for d, factors in zip(enumerate_diagrams(n), factor_ids):
-            expected = d.join_decompose()
-            if len(expected) == 1:
-                assert factors == (), d
-            else:
-                assert factors == tuple((f.order, _class_id(f.word)) for f in expected), d
-
-    def test_factors_of_a_connected_sum(self):
-        # a single chord, then an interlaced pair, then a single chord: two chords, one pair
-        (c,) = [i for i, d in enumerate(enumerate_diagrams(4)) if d == P("1 1 2 3 2 3 4 4")]
-        assert list(diagrams._factor_ids(4))[c] == ((1, 0), (1, 0), (2, 1))
 
 
 class TestNumbering:

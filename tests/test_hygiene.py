@@ -115,8 +115,8 @@ def test_cli_reads_map_files_only_in_the_bounded_helper():
     "path", [Path(m.__file__) for m in (weight_system, golden, cli)], ids=lambda p: p.stem
 )
 def test_weight_system_leaves_the_word_format_to_diagrams(path):
-    # Of diagrams' private names only the two lookups by class id may be imported:
-    # _class_id (the class of a word) and _factor_ids (the join factors of a class).
+    # Of diagrams' private names only the lookup by class id may be imported:
+    # _class_id (the class of a word).
     # The rest of the word format (normalization, numbering, rotation, interlace
     # bitmasks) stays behind ChordDiagram, and bisect is not needed to find a class.
     imports = [
@@ -131,7 +131,7 @@ def test_weight_system_leaves_the_word_format_to_diagrams(path):
         if alias.name.startswith("_")
     }
     modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
-    assert imports and private <= {"_class_id", "_factor_ids"}
+    assert imports and private <= {"_class_id"}
     assert names.isdisjoint({"normalize_labels", "bisect"}) and "bisect" not in modules
 
 

@@ -122,12 +122,10 @@ class TestGenusPolynomial:
 
 @pytest.fixture
 def cold_gamma():
-    """Empty polynomial caches and tables during the test, and again after it."""
+    """An empty polynomial cache during the test, and again after it."""
     weight_system._gamma.cache_clear()
-    weight_system._gamma_table.cache_clear()
     yield
     weight_system._gamma.cache_clear()
-    weight_system._gamma_table.cache_clear()
 
 
 # walks of a cold cache for all classes of order n: the prime classes of orders 1..n
@@ -146,18 +144,24 @@ def _count_walks(monkeypatch):
     return walks
 
 
+def _assert_every_class_matches_its_own_walk(n):
+    """One boundary walk of each class of order n against its polynomial and its table entry."""
+    table = _gamma_table(n)
+    assert len(table) == len(enumerate_diagrams(n))
+    for d, entry in zip(enumerate_diagrams(n), table):
+        assert pd_genus_polynomial(d) == entry == _genus_distribution(d.to_map()), d
+
+
 class TestFactorAndMirrorShortcuts:
     """Connected sums multiply their factors' polynomials; mirror images share theirs."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_every_class_matches_its_own_walk(self, n):
-        for d in enumerate_diagrams(n):
-            assert pd_genus_polynomial(d) == _genus_distribution(d.to_map()), d
+        _assert_every_class_matches_its_own_walk(n)
 
     @pytest.mark.slow
     def test_every_class_matches_its_own_walk_at_order_seven(self, cold_gamma):
-        for d in enumerate_diagrams(7):
-            assert pd_genus_polynomial(d) == _genus_distribution(d.to_map()), d
+        _assert_every_class_matches_its_own_walk(7)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reversed_word_has_the_same_polynomial(self, n):
@@ -224,19 +228,7 @@ class TestFactorAndMirrorShortcuts:
 
 
 class TestGammaTable:
-    """The polynomials of a whole order by class id: connected sums from the lower tables."""
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_every_entry_matches_its_own_walk(self, n):
-        table = _gamma_table(n)
-        assert len(table) == len(enumerate_diagrams(n))
-        for d, polynomial in zip(enumerate_diagrams(n), table):
-            assert polynomial == _genus_distribution(d.to_map()), d
-
-    @pytest.mark.slow
-    def test_every_entry_matches_its_own_walk_at_order_seven(self, cold_gamma):
-        for d, polynomial in zip(enumerate_diagrams(7), _gamma_table(7)):
-            assert polynomial == _genus_distribution(d.to_map()), d
+    """The polynomials of a whole order by class id: ``pd_genus_polynomial`` of each class."""
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -245,13 +237,15 @@ class TestGammaTable:
             lambda factors: factors + factors[:1],  # one factor counted twice
         ],
     )
-    def test_a_wrong_factor_id_is_a_wrong_entry(self, corrupt, cold_gamma, monkeypatch):
-        factor_ids = diagrams._factor_ids
+    def test_a_wrong_factor_is_a_wrong_entry(self, corrupt, cold_gamma, monkeypatch):
+        # A connected sum's entry is the product over its join_decompose factors.
+        decompose = ChordDiagram.join_decompose
 
-        def corrupted(n):
-            return (corrupt(factors) if factors else factors for factors in factor_ids(n))
+        def corrupted(self):
+            factors = decompose(self)
+            return corrupt(factors) if len(factors) > 1 else factors
 
-        monkeypatch.setattr(weight_system, "_factor_ids", corrupted)
+        monkeypatch.setattr(ChordDiagram, "join_decompose", corrupted)
         wrong = [
             d
             for d, polynomial in zip(enumerate_diagrams(4), _gamma_table(4))
