@@ -28,9 +28,10 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take about 0.6 s, 2.7 s and 7 s and at most 77 MB (2-CPU machine); at
-# order 8 check4t takes about 33 s and 216 MB, and the exact quotient grows
-# into hours.
+# they take 0.3-0.6 s, 1.3-2.3 s and 7-11 s and at most 62 MB (fresh
+# interpreters, 10, 10 and 6 runs, shared 2-CPU machine, CPython 3.11); at
+# order 8 check4t takes 25-40 s (5 runs) and 216 MB, and the exact quotient
+# grows into hours.
 MAX_ORDER = 7
 
 # Most subsets that poly walks: the sum of 2^k over the distinct prime

@@ -9,11 +9,9 @@ order-4 census of 18.
 
 from __future__ import annotations
 
-import json
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .maps import CombinatorialMap
 
@@ -253,8 +251,7 @@ def _canonical_diagram(word: tuple[int, ...]) -> ChordDiagram:
     return diagram
 
 
-@dataclass(frozen=True)
-class InterlaceSequence:
+class InterlaceSequence(NamedTuple):
     """Sorted per-chord interlacement counts, with the join factorization."""
 
     counts: tuple[int, ...]
@@ -266,37 +263,42 @@ class InterlaceSequence:
         return "∨".join("(" + ",".join(map(str, f)) + ")" for f in self.factors)
 
 
-@dataclass(frozen=True)
-class MultiCircleDiagram:
+class _MultiCircleFields(NamedTuple):
+    circles: tuple[tuple[int, ...], ...]
+    pairing: tuple[tuple[int, int], ...]
+    side: tuple[str, ...]
+
+
+class MultiCircleDiagram(_MultiCircleFields):
     """A chord diagram on several circles, one per vertex of a ribbon graph.
 
     ``circles`` lists half-chord ids in circle order, ``pairing`` matches
     the two ends of each chord, and ``side`` says whether a chord attaches
     from the inside or outside of its circles.  Side flags affect only
     rendering and serialization, never genus computations (those go
-    through the map).
+    through the map).  An immutable value: a named tuple of its three
+    fields, checked at construction.
     """
 
-    circles: tuple[tuple[int, ...], ...]
-    pairing: tuple[tuple[int, int], ...]
-    side: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        elements = [h for circle in self.circles for h in circle]
+    def __new__(cls, circles, pairing, side) -> MultiCircleDiagram:
+        elements = [h for circle in circles for h in circle]
         if sorted(elements) != list(range(len(elements))):
             raise ValueError("circles must cover half-chord ids 0..2n-1 exactly once")
         mate: dict[int, int] = {}
-        for a, b in self.pairing:
+        for a, b in pairing:
             if a == b or a in mate or b in mate:
                 raise ValueError("pairing is not a fixed-point-free involution")
             mate[a] = b
             mate[b] = a
         if sorted(mate) != list(range(len(elements))):
             raise ValueError("pairing does not match the circle elements")
-        if len(self.side) != len(self.pairing):
+        if len(side) != len(pairing):
             raise ValueError("one side flag per chord is required")
-        if any(s not in ("in", "out") for s in self.side):
+        if any(s not in ("in", "out") for s in side):
             raise ValueError("side flags must be 'in' or 'out'")
+        return super().__new__(cls, circles, pairing, side)
 
     def to_map(self) -> CombinatorialMap:
         size = 2 * len(self.pairing)
@@ -325,6 +327,8 @@ class MultiCircleDiagram:
         }
 
     def __str__(self) -> str:
+        import json  # here, not at the top: importing pdgenus then loads no json
+
         return json.dumps(self.to_json())
 
 

@@ -15,7 +15,6 @@ import ast
 import json
 import operator
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .diagrams import ChordDiagram
@@ -36,20 +35,39 @@ def load_errata_notes() -> list[dict]:
     return _load("golden_errata.json")["errata"]
 
 
-@dataclass
 class TableRow:
-    row: int
-    label: str
-    diagram: ChordDiagram
-    interlace: str
-    expected_gamma: IntPolynomial
-    published_gamma: str
-    computed_gamma: IntPolynomial = field(init=False)
-    computed_interlace: str = field(init=False)
-    basis: bool = False
-    published_relation: dict[str, int] | None = None
-    computed_relation: dict[str, int] | None = None
-    issues: list[str] = field(default_factory=list)
+    """One row of the order-4 table: the published values and what verification computed.
+
+    ``computed_gamma`` and ``computed_interlace`` are set by
+    ``verify_golden_table`` after construction.
+    """
+
+    computed_gamma: IntPolynomial
+    computed_interlace: str
+
+    def __init__(
+        self,
+        row: int,
+        label: str,
+        diagram: ChordDiagram,
+        interlace: str,
+        expected_gamma: IntPolynomial,
+        published_gamma: str,
+        basis: bool = False,
+        published_relation: dict[str, int] | None = None,
+        computed_relation: dict[str, int] | None = None,
+        issues: list[str] | None = None,
+    ) -> None:
+        self.row = row
+        self.label = label
+        self.diagram = diagram
+        self.interlace = interlace
+        self.expected_gamma = expected_gamma
+        self.published_gamma = published_gamma
+        self.basis = basis
+        self.published_relation = published_relation
+        self.computed_relation = computed_relation
+        self.issues = [] if issues is None else issues
 
     @property
     def gamma_matches(self) -> bool:

@@ -444,6 +444,29 @@ class TestInterlacement:
         seq = P("1 1 2 2 3 3 4 4").interlace_sequence()
         assert str(seq) == "(0)∨(0)∨(0)∨(0)"
 
+    def test_prime_sequence_display(self):
+        assert str(P("1 2 1 3 2 3").interlace_sequence()) == "(1,1,2)"
+
+    def test_sequence_repr(self):
+        assert repr(P("1 2 1 3 2 3").interlace_sequence()) == (
+            "InterlaceSequence(counts=(1, 1, 2), factors=((1, 1, 2),))"
+        )
+        assert repr(P("1 2 1 2 3 4 3 4").interlace_sequence()) == (
+            "InterlaceSequence(counts=(1, 1, 1, 1), factors=((1, 1), (1, 1)))"
+        )
+
+    def test_sequence_is_an_immutable_value(self):
+        seq = P("1 2 1 3 2 3").interlace_sequence()
+        twin = P("1 2 3 1 3 2").interlace_sequence()
+        assert seq is not twin and seq == twin and hash(seq) == hash(twin)
+        assert seq != P("1 2 1 2 3 4 3 4").interlace_sequence()
+        assert seq.counts == (1, 1, 2) and seq.factors == ((1, 1, 2),)
+        with pytest.raises(AttributeError):
+            seq.counts = (0,)
+        with pytest.raises(AttributeError):
+            seq.extra = 1
+        assert seq.counts == (1, 1, 2)
+
     def test_product_sequence_is_multiset_union(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -612,3 +635,54 @@ class TestMultiCircleDiagram:
         mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
         with pytest.raises(ValueError):
             mc.to_diagram()
+
+    @pytest.mark.parametrize(
+        "circles, pairing, side, message",
+        [
+            (((0, 2),), ((0, 1),), ("in",), "circles must cover half-chord ids 0..2n-1"),
+            (((0, 1),), ((0, 0),), ("in",), "pairing is not a fixed-point-free involution"),
+            (((0, 1, 2, 3),), ((0, 1),), ("in",), "pairing does not match the circle elements"),
+            (((0, 1),), ((0, 1),), ("in", "out"), "one side flag per chord is required"),
+            (((0, 1),), ((0, 1),), ("sideways",), "side flags must be 'in' or 'out'"),
+        ],
+    )
+    def test_each_invalid_field_has_its_message(self, circles, pairing, side, message):
+        with pytest.raises(ValueError, match=message):
+            MultiCircleDiagram(circles, pairing, side)
+
+    def test_repr(self):
+        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        assert repr(mc) == (
+            "MultiCircleDiagram(circles=((0, 3, 4, 5), (1, 2)), "
+            "pairing=((0, 2), (1, 4), (3, 5)), side=('out', 'in', 'in'))"
+        )
+
+    def test_str_is_its_json(self):
+        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        assert str(mc) == (
+            '{"circles": [[0, 3, 4, 5], [1, 2]], "pairing": [[0, 2], [1, 4], [3, 5]], '
+            '"side": ["out", "in", "in"]}'
+        )
+        assert mc.to_json() == {
+            "circles": [[0, 3, 4, 5], [1, 2]],
+            "pairing": [[0, 2], [1, 4], [3, 5]],
+            "side": ["out", "in", "in"],
+        }
+
+    def test_equal_diagrams_are_equal_values(self):
+        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        twin = MultiCircleDiagram(
+            ((0, 3, 4, 5), (1, 2)), ((0, 2), (1, 4), (3, 5)), ("out", "in", "in")
+        )
+        assert mc is not twin and mc == twin and hash(mc) == hash(twin)
+        assert len({mc, twin}) == 1
+        flipped = MultiCircleDiagram(mc.circles, mc.pairing, ("in", "in", "in"))
+        assert mc != flipped
+        assert mc != partial_dual_diagram(P("1 2 1 3 2 3"), {2})
+
+    @pytest.mark.parametrize("name", ["circles", "pairing", "side", "extra"])
+    def test_fields_cannot_be_assigned(self, name):
+        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        with pytest.raises(AttributeError):
+            setattr(mc, name, ())
+        assert mc.side == ("out", "in", "in")

@@ -1,8 +1,10 @@
 """Source-level guards of the package: standard library only, no eval, no floats,
 no lazily filled map attributes, every command-line word and map file bounded, the
-word format kept behind ``diagrams``."""
+word format kept behind ``diagrams``, and a cheap import."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,16 +24,54 @@ def test_every_module_is_walked():
     assert {p.stem for p in MODULES} >= {"__init__", "cli", "diagrams", "weight_system"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_absolute_imports_are_standard_library(path):
+def _absolute_imports(path):
     imported = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.append(node.module)
+    return imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_absolute_imports_are_standard_library(path):
+    imported = _absolute_imports(path)
     outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses pulls in inspect, dis, ast and tokenize: about 10 ms of every cold start
+    assert "dataclasses" not in _absolute_imports(path)
+
+
+def _modules_added_by(statement):
+    """The modules that ``statement`` adds to a fresh interpreter's ``sys.modules``.
+
+    Modules that the interpreter loads before running it (``site`` and its path
+    hooks) do not count.
+    """
+    script = f"import sys; bare = set(sys.modules); {statement}; print(*set(sys.modules) - bare)"
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pdgenus.__file__).parent.parent)},
+    )
+    return set(child.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_json():
+    added = _modules_added_by("import pdgenus")
+    assert "pdgenus.weight_system" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json"})
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    added = _modules_added_by("import pdgenus.cli")
+    assert {"pdgenus.cli", "pdgenus.golden"} <= added
+    assert added.isdisjoint({"dataclasses", "inspect"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
