@@ -16,6 +16,7 @@ import json
 import operator
 import re
 from importlib import resources
+from typing import NamedTuple
 
 from .diagrams import ChordDiagram
 from .polynomials import IntPolynomial
@@ -35,39 +36,21 @@ def load_errata_notes() -> list[dict]:
     return _load("golden_errata.json")["errata"]
 
 
-class TableRow:
-    """One row of the order-4 table: the published values and what verification computed.
+class TableRow(NamedTuple):
+    """One row of the order-4 table: the published values, then what verification computed."""
 
-    ``computed_gamma`` and ``computed_interlace`` are set by
-    ``verify_golden_table`` after construction.
-    """
-
+    row: int
+    label: str
+    diagram: ChordDiagram
+    interlace: str
+    expected_gamma: IntPolynomial
+    published_gamma: str
+    basis: bool
+    published_relation: dict[str, int] | None
     computed_gamma: IntPolynomial
     computed_interlace: str
-
-    def __init__(
-        self,
-        row: int,
-        label: str,
-        diagram: ChordDiagram,
-        interlace: str,
-        expected_gamma: IntPolynomial,
-        published_gamma: str,
-        basis: bool = False,
-        published_relation: dict[str, int] | None = None,
-        computed_relation: dict[str, int] | None = None,
-        issues: list[str] | None = None,
-    ) -> None:
-        self.row = row
-        self.label = label
-        self.diagram = diagram
-        self.interlace = interlace
-        self.expected_gamma = expected_gamma
-        self.published_gamma = published_gamma
-        self.basis = basis
-        self.published_relation = published_relation
-        self.computed_relation = computed_relation
-        self.issues = [] if issues is None else issues
+    computed_relation: dict[str, int] | None
+    issues: list[str]
 
     @property
     def gamma_matches(self) -> bool:
@@ -96,79 +79,56 @@ def verify_golden_table() -> tuple[list[TableRow], list[dict]]:
     diagnosis notes with everything the verification itself finds:
     coefficient sums that contradict the subset count, published labels
     that contradict the row position, and published relations that differ
-    from the exact quotient solution.
+    from the exact quotient solution.  Each row is built once, complete,
+    in a single pass over the table.
     """
-    data = load_golden_table()
-    rows: list[TableRow] = []
-    basis_diagrams: list[ChordDiagram] = []
-    basis_labels: list[str] = []
-    for entry in data["order4"]:
-        row = TableRow(
-            row=entry["row"],
-            label=entry["label"],
-            diagram=ChordDiagram.parse(entry["word"]),
-            interlace=entry["interlace"],
-            expected_gamma=IntPolynomial(entry["gamma"]),
-            published_gamma=entry["published_gamma"],
-            basis=entry["basis"],
-            published_relation=entry["relation"],
-        )
-        row.computed_gamma = pd_genus_polynomial(row.diagram)
-        row.computed_interlace = str(row.diagram.interlace_sequence())
-        rows.append(row)
-        if row.basis:
-            basis_diagrams.append(row.diagram)
-            basis_labels.append(row.label)
+    entries = load_golden_table()["order4"]
+    basis = {e["label"]: ChordDiagram.parse(e["word"]) for e in entries if e["basis"]}
+    basis_diagrams = list(basis.values())
+    errata = load_errata_notes()
+    rows = []
+    for entry in entries:
+        row, published_gamma = entry["row"], entry["published_gamma"]
+        diagram = ChordDiagram.parse(entry["word"])
+        expected = IntPolynomial(entry["gamma"])
+        gamma = pd_genus_polynomial(diagram)
+        interlace = str(diagram.interlace_sequence())
+        failures = []
+        if gamma != expected:
+            failures.append(f"computed gamma {gamma} differs from expected {expected}")
+        if gamma.coeff_sum() != 1 << diagram.order:
+            failures.append("computed gamma breaks the coefficient-sum law")
+        if interlace != entry["interlace"]:
+            failures.append(
+                f"computed interlace sequence {interlace} differs from {entry['interlace']}"
+            )
+        errata += ({"rows": [row], "kind": "verification-failure", "note": f} for f in failures)
+
+        issues = []
         published = entry.get("published_label")
         if published and published != entry["label"]:
-            row.issues.append(
-                f"published subscript {published} contradicts row position {entry['row']}"
+            issues.append(f"published subscript {published} contradicts row position {row}")
+        published_sum = _parse_published_sum(published_gamma)
+        if published_sum != 1 << diagram.order:
+            issues.append(
+                f"published value {published_gamma} sums to {published_sum}, not 2^4 = 16"
             )
-
-    errata = [dict(note) for note in load_errata_notes()]
-    for row in rows:
-        if not row.gamma_matches:
-            errata.append(
-                {
-                    "rows": [row.row],
-                    "kind": "verification-failure",
-                    "note": f"computed gamma {row.computed_gamma} differs from "
-                    f"expected {row.expected_gamma}",
-                }
-            )
-        if row.computed_gamma.coeff_sum() != 1 << row.diagram.order:
-            errata.append(
-                {
-                    "rows": [row.row],
-                    "kind": "verification-failure",
-                    "note": "computed gamma breaks the coefficient-sum law",
-                }
-            )
-        if _parse_published_sum(row.published_gamma) != 1 << row.diagram.order:
-            row.issues.append(
-                f"published value {row.published_gamma} sums to "
-                f"{_parse_published_sum(row.published_gamma)}, not 2^4 = 16"
-            )
-        if row.computed_interlace != row.interlace:
-            errata.append(
-                {
-                    "rows": [row.row],
-                    "kind": "verification-failure",
-                    "note": f"computed interlace sequence {row.computed_interlace} "
-                    f"differs from {row.interlace}",
-                }
-            )
-        if not row.basis:
-            coeffs = express_modulo_4T(row.diagram, basis_diagrams)
-            relation = {
-                basis_labels[i]: int(c) for i, c in enumerate(coeffs) if c
-            }
-            row.computed_relation = relation
-            if row.published_relation is not None and relation != row.published_relation:
-                row.issues.append(
-                    f"published relation {row.published_relation} replaced by "
+        relation = None
+        if not entry["basis"]:
+            coeffs = express_modulo_4T(diagram, basis_diagrams)
+            relation = {label: int(c) for label, c in zip(basis, coeffs) if c}
+            if entry["relation"] is not None and relation != entry["relation"]:
+                issues.append(
+                    f"published relation {entry['relation']} replaced by "
                     f"computed relation {relation}"
                 )
+
+        rows.append(
+            TableRow(
+                row, entry["label"], diagram, entry["interlace"], expected, published_gamma,
+                entry["basis"], entry["relation"], gamma, interlace, relation, issues,
+            )
+        )
     return rows, errata
 
 

@@ -391,6 +391,12 @@ class TestTable:
         assert "d4_18" in out1
         assert "errata:" in out1
 
+    def test_text_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "table")
+        assert code == 0
+        digest = "90dd5a8f8bdbff57f932cff39a89e5eb9c5a62b2ed742d3c7f60d8ab88107304"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_has_all_rows(self, capsys):
         code, out, _ = run(capsys, "table", "--json")
         payload = json.loads(out)

@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 
-from pdgenus.diagrams import enumerate_diagrams
+from pdgenus import golden
+from pdgenus.cli import main
+from pdgenus.diagrams import ChordDiagram, enumerate_diagrams
 from pdgenus.golden import (
     _parse_published_sum,
     load_errata_notes,
@@ -8,6 +12,7 @@ from pdgenus.golden import (
     small_golden_values,
     verify_golden_table,
 )
+from pdgenus.polynomials import IntPolynomial
 from pdgenus.weight_system import pd_genus_polynomial
 
 
@@ -63,6 +68,59 @@ def test_known_issues_are_flagged():
     assert kinds == {"value-misprint", "label-typo", "relation-check"}
     # the verification itself found nothing beyond the shipped diagnosis
     assert not any(e["kind"] == "verification-failure" for e in errata)
+
+
+def test_every_verification_branch_reports_in_order(monkeypatch):
+    # row 2's published values all disagree with computation, and row 1's gamma is
+    # computed wrong (it sums to 17) against a wrong interlace sequence, so every
+    # check fires, and row 1 fails all three errata checks
+    data = copy.deepcopy(load_golden_table())
+    data["order4"][0]["interlace"] = "(2,3,3,3)"
+    data["order4"][1].update(
+        gamma=[2, 10, 5],
+        interlace="(1,1,1,1)",
+        relation={"d4_3": 2},
+        published_label="d4_5",
+        published_gamma="2+10z+3z^2",
+    )
+    monkeypatch.setattr(golden, "load_golden_table", lambda: data)
+    first = ChordDiagram.parse(data["order4"][0]["word"])
+    real = golden.pd_genus_polynomial
+    monkeypatch.setattr(
+        golden,
+        "pd_genus_polynomial",
+        lambda d: IntPolynomial([0, 8, 9]) if d == first else real(d),
+    )
+
+    rows, errata = verify_golden_table()
+
+    def failure(row, note):
+        return {"rows": [row], "kind": "verification-failure", "note": note}
+
+    assert errata == load_errata_notes() + [
+        failure(1, "computed gamma 8z + 9z^2 differs from expected 8z + 8z^2"),
+        failure(1, "computed gamma breaks the coefficient-sum law"),
+        failure(1, "computed interlace sequence (3,3,3,3) differs from (2,3,3,3)"),
+        failure(2, "computed gamma 2 + 10z + 4z^2 differs from expected 2 + 10z + 5z^2"),
+        failure(2, "computed interlace sequence (2,2,2,2) differs from (1,1,1,1)"),
+    ]
+    assert rows[1].issues == [
+        "published subscript d4_5 contradicts row position 2",
+        "published value 2+10z+3z^2 sums to 15, not 2^4 = 16",
+        "published relation {'d4_3': 2} replaced by computed relation "
+        "{'d4_3': 1, 'd4_6': -1, 'd4_7': 1}",
+    ]
+    assert rows[0].issues == []
+    assert [row.row for row in rows if not row.gamma_matches] == [1, 2]
+    assert main(["table"]) == 2
+
+
+def test_rows_are_values():
+    first, _ = verify_golden_table()
+    second, _ = verify_golden_table()
+    assert first == second
+    with pytest.raises(AttributeError):
+        first[0].computed_gamma = IntPolynomial([16])
 
 
 def test_misprinted_rows_fail_the_coefficient_sum_law():

@@ -1,6 +1,6 @@
 """Source-level guards of the package: standard library only, no eval, no floats,
-no lazily filled map attributes, every command-line word and map file bounded, the
-word format kept behind ``diagrams``, and a cheap import."""
+no attribute filled lazily but a diagram's canonical word, every command-line word
+and map file bounded, the word format kept behind ``diagrams``, and a cheap import."""
 
 import ast
 import os
@@ -124,6 +124,38 @@ def test_a_map_sets_its_attributes_only_at_construction():
         and node.value.id == "self"
     ]
     assert methods and assigned == []
+
+
+def _attribute_writes(node, scope):
+    """(scope, target) of every attribute stored or deleted under ``node``, where
+    ``scope`` is the dotted name of the innermost enclosing class or function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_writes(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del)):
+            yield scope, ast.unparse(child)
+        elif isinstance(child, ast.Call) and (
+            isinstance(child.func, ast.Name) and child.func.id in ("setattr", "delattr")
+            or isinstance(child.func, ast.Attribute)
+            and child.func.attr in ("__setattr__", "__delattr__")
+        ):
+            yield scope, ast.unparse(child)
+        yield from _attribute_writes(child, scope)
+
+
+def test_only_the_canonical_word_fills_lazily():
+    # Outside construction, an attribute is written only where a diagram keeps its
+    # canonical word: values are complete when built and never change afterwards.
+    lazy = {("diagrams", "ChordDiagram._canonical_key"), ("diagrams", "_canonical_diagram")}
+    writes = [
+        f"{path.stem}.{scope}: {target}"
+        for path in MODULES
+        for scope, target in _attribute_writes(_tree(path), "")
+        if scope.rpartition(".")[2] not in ("__init__", "__new__")
+        and (path.stem, scope) not in lazy
+    ]
+    assert writes == []
 
 
 def test_cli_parses_words_only_in_the_bounded_helper():
