@@ -28,7 +28,7 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take 0.3-0.6 s, 1.3-2.3 s and 7-11 s and at most 62 MB (fresh
+# they take 0.3-0.6 s, 1.3-2.3 s and 1.6-3.3 s, and dims at most 69 MB (fresh
 # interpreters, 10, 10 and 6 runs, shared 2-CPU machine, CPython 3.11); at
 # order 8 check4t takes 25-40 s (5 runs) and 216 MB, and the exact quotient
 # grows into hours.

@@ -464,9 +464,15 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
     The classes are the cycles of ``_rotation(n)``.  Numbers are visited in
     order, and one without an id starts a class: its cycle is followed
-    around, every member gets the id, and the least member, decoded by
-    slicing its skeleton, is the canonical word.  Ids are then renumbered
-    in canonical-word order.
+    around, every member gets the id, and the least member is the
+    canonical word.  Ids are then renumbered in canonical-word order.
+
+    Word x = k * (2n - 1) + j is chord 1, skeleton k's first j letters,
+    chord 1 again, then the rest of the skeleton.  The least member closes
+    chord 1 earliest, as ``_least_rotation`` says of any least rotation, so
+    it has the least gap j; members of equal gap all begin 1, 2, ..., j + 1,
+    1 and compare as their skeletons.  So the least member is found from
+    (j, skeleton) alone, and only it is decoded.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -479,16 +485,15 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     canonical: list[tuple[int, ...]] = []
     for start in range(len(rot)):
         if ids[start] < 0:
-            least, x = None, start
+            (least, gap), x = divmod(start, width), start
             while ids[x] < 0:
                 ids[x] = len(canonical)
                 k, j = divmod(x, width)
-                s = skeletons[k]
-                word = (1,) + s[:j] + (1,) + s[j:]
-                if least is None or word < least:
-                    least = word
+                if j < gap or j == gap and skeletons[k] < skeletons[least]:
+                    least, gap = k, j
                 x = rot[x]
-            canonical.append(least)
+            s = skeletons[least]
+            canonical.append((1,) + s[:gap] + (1,) + s[gap:])
     del rot  # before the renumbering builds the id tuple: 16 MB at order 8
     order = sorted(range(len(canonical)), key=canonical.__getitem__)
     renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order

@@ -179,6 +179,23 @@ def _weight_systems(n: int) -> tuple[dict[int, Fraction], ...]:
     return tuple(RationalMatrix(quadruple_vectors(n), len(enumerate_diagrams(n))).nullspace())
 
 
+@lru_cache(maxsize=8)
+def _basis_values(n: int, ids: tuple[int, ...]) -> RationalMatrix:
+    """The order-n weight systems' values on a basis of class ids: a row per weight system.
+
+    Raises ``NotABasisError`` when their rank is below the basis size.  A
+    cache keeps no exception, so a dependent basis raises on every call,
+    and an independent one is built and ranked once while it stays cached.
+    """
+    values = RationalMatrix(
+        ({i: w[b] for i, b in enumerate(ids) if b in w} for w in _weight_systems(n)),
+        len(ids),
+    )
+    if values.rank() != len(ids):
+        raise NotABasisError("basis is dependent modulo the four-term relations")
+    return values
+
+
 def express_modulo_4T(
     diagram: ChordDiagram, basis: Sequence[ChordDiagram]
 ) -> list[Fraction]:
@@ -192,16 +209,9 @@ def express_modulo_4T(
     n = diagram.order
     if any(b.order != n for b in basis):
         raise NotABasisError("basis diagrams must have the same order as the target")
-    weight_systems = _weight_systems(n)
-    ids = [_class_id(b.word) for b in basis]
-    values = RationalMatrix(
-        ({i: w[b] for i, b in enumerate(ids) if b in w} for w in weight_systems),
-        len(basis),
-    )
-    if values.rank() != len(basis):
-        raise NotABasisError("basis is dependent modulo the four-term relations")
+    values = _basis_values(n, tuple(_class_id(b.word) for b in basis))
     target = _class_id(diagram.word)
-    solution = values.solve([w.get(target, 0) for w in weight_systems])
+    solution = values.solve([w.get(target, 0) for w in _weight_systems(n)])
     if solution is None:
         raise NoSolutionError("target is outside the span of basis and relations")
     return solution

@@ -1,10 +1,17 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from pdgenus.polynomials import IntPolynomial, RationalMatrix, _reduced_echelon
+from pdgenus.polynomials import (
+    IntPolynomial,
+    RationalMatrix,
+    _identify,
+    _integral,
+    _reduced_echelon,
+)
 from pdgenus.weight_system import quadruple_vectors
 
 
@@ -200,3 +207,131 @@ def test_eliminator_against_rank_oracle():
         assert permuted.rank() == rank
         assert permuted.solve([b[i] for i in order]) == x
     assert min(outcomes.values()) > 200
+
+
+def _oracle_rref(rows, cols):
+    """The RREF of sparse rows by dense Fraction elimination, as ``{pivot column: row}``."""
+    m = [[Fraction(row.get(j, 0)) for j in range(cols)] for row in rows]
+    pivots = []
+    for col in range(cols):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        m[top] = [x / m[top][col] for x in m[top]]
+        for i, row in enumerate(m):
+            if i != top and row[col]:
+                m[i] = [a - row[col] * b for a, b in zip(row, m[top])]
+        pivots.append(col)
+    return {col: {j: x for j, x in enumerate(m[i]) if x} for i, col in enumerate(pivots)}
+
+
+def _planted_rows(rng, cols):
+    """Sparse rows with identifications ``{a: x, b: -x}`` planted among random rows.
+
+    The pairs form chains and cycles over a random partition of some
+    columns; some pairs are Fractions; some identifications show only once
+    others are merged (``{a: x, b: -x, c: y, d: -y}`` with c and d planted
+    equal); and the rest are random rows of one to four entries.
+    """
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    columns = rng.sample(range(cols), rng.randrange(2, cols + 1))
+    groups = []
+    while len(columns) >= 2:
+        size = rng.randrange(2, len(columns) + 1)
+        groups.append(columns[:size])
+        columns = columns[size:]
+    rows, equal = [], []
+    for group in groups:
+        links = list(zip(group, group[1:]))
+        if len(group) > 2 and rng.random() < 0.5:
+            links.append((group[-1], group[0]))  # a cycle
+        for a, b in links:
+            x = rng.choice(values)
+            equal.append((a, b))
+            if rng.random() < 0.3:
+                c, d = rng.choice(equal)
+                if len({a, b, c, d}) == 4:
+                    y = rng.choice(values)
+                    rows.append({a: x, b: -x, c: y, d: -y})  # a pair once c and d merge
+                    continue
+            rows.append({a: x, b: -x})
+    for _ in range(rng.randrange(0, cols)):
+        row = {j: rng.choice(values) for j in rng.sample(range(cols), rng.randrange(1, min(cols, 4) + 1))}
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+class TestIdentifications:
+    """The merge of two-entry rows ``{a: x, b: -x}`` before the elimination."""
+
+    @staticmethod
+    def _check(rows, cols):
+        pivots = _reduced_echelon(rows)
+        expected = _oracle_rref(rows, cols)
+        assert pivots.keys() == expected.keys()
+        for col, row in pivots.items():
+            assert all(type(v) is int for v in row.values())
+            assert math.gcd(*row.values()) == 1 and row[col] > 0
+            assert {j: Fraction(v, row[col]) for j, v in row.items()} == expected[col]
+        return pivots
+
+    def test_against_dense_rref_oracle(self):
+        rng = random.Random(23)
+        later_pairs = 0
+        for _ in range(400):
+            cols = rng.randrange(2, 12)
+            rows = _planted_rows(rng, cols)
+            self._check(rows, cols)
+            integral = [_integral(row) for row in rows]
+            first = [row for row in integral if len(row) == 2 and sum(row.values()) == 0]
+            later_pairs += len(_identify(integral)[1]) > len(_identify(first)[1])
+        assert later_pairs > 40
+
+    def test_chain_cycle_and_fraction_pair(self):
+        chain = [{0: 1, 1: -1}, {1: Fraction(1, 2), 2: Fraction(-1, 2)}, {2: -3, 3: 3}]
+        assert self._check(chain, 5) == {0: {0: 1, 3: -1}, 1: {1: 1, 3: -1}, 2: {2: 1, 3: -1}}
+        cycle = chain + [{3: 2, 0: -2}, {0: 1, 4: 1}]
+        assert self._check(cycle, 5) == {
+            0: {0: 1, 4: 1}, 1: {1: 1, 4: 1}, 2: {2: 1, 4: 1}, 3: {3: 1, 4: 1},
+        }
+
+    def test_pair_that_appears_only_after_merging(self):
+        rows = [{2: 1, 3: -1}, {0: 1, 1: -1, 2: 5, 3: -5}, {1: 1, 4: 1, 5: 1}]
+        assert self._check(rows, 6) == {
+            0: {0: 1, 4: 1, 5: 1}, 1: {1: 1, 4: 1, 5: 1}, 2: {2: 1, 3: -1},
+        }
+
+    def test_augmented_target_column(self):
+        rng = random.Random(7)
+        solved = {True: 0, False: 0}
+        for _ in range(300):
+            cols = rng.randrange(2, 9)
+            rows = _planted_rows(rng, cols)
+            # a one-entry row {a: x} with target -x is the pair {a: x, cols: -x}
+            target = [-next(iter(row.values())) if len(row) == 1 else rng.choice([0, 0, 1, -2]) for row in rows]
+            augmented = [{**row, cols: t} if t else row for row, t in zip(rows, target)]
+            self._check(augmented, cols + 1)
+            x = RationalMatrix(rows, cols).solve(target)
+            solved[x is not None] += 1
+            if x is not None:
+                assert [sum(v * x[j] for j, v in row.items()) for row in rows] == target
+        assert min(solved.values()) > 30
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2, "4f53cda18c2baa0c"),
+            (3, "bb5700270601b23e"),
+            (4, "28577b8a9e4906fd"),
+            (5, "b002a3ee0f76743a"),
+            (6, "ef1fa23aedd2e8b2"),
+        ],
+    )
+    def test_pinned_pivot_rows_of_the_four_term_relations(self, n, digest):
+        # each row's entries sorted by column: the order of a row's keys is not part of its value
+        pivots = _reduced_echelon(quadruple_vectors(n))
+        rows = [(col, sorted(row.items())) for col, row in sorted(pivots.items())]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest

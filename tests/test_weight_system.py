@@ -591,6 +591,24 @@ class TestExpressModulo4T:
             express_modulo_4T(b, basis)
         assert len(calls) <= 1
 
+    def test_basis_checked_once_per_basis(self, monkeypatch):
+        basis = self._basis()
+        express_modulo_4T(basis[0], basis)  # builds and ranks the basis' values
+        calls = []
+        rank = RationalMatrix.rank
+        monkeypatch.setattr(RationalMatrix, "rank", lambda m: calls.append(m) or rank(m))
+        rotated = [ChordDiagram(b.word[1:] + b.word[:1]) for b in basis]  # the same class ids
+        for b in basis:
+            express_modulo_4T(b, basis)
+            express_modulo_4T(b, rotated)
+        assert calls == []
+
+    def test_dependent_basis_rejected_on_every_call(self):
+        dependent = [P("1 1 2 2 3 4 3 4"), P("1 1 2 3 4 4 2 3")]
+        for target in (P("1 1 2 2 3 3 4 4"), P("1 1 2 2 3 3 4 4"), dependent[0]):
+            with pytest.raises(NotABasisError):
+                express_modulo_4T(target, dependent)
+
     def test_class_ids_need_no_rotation_search(self, monkeypatch):
         target, basis = P("1 2 1 3 4 2 3 4"), self._basis()
         expected = express_modulo_4T(target, basis)  # warms _weight_systems(4)
