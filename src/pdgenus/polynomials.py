@@ -120,9 +120,10 @@ def _reduced_echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, 
 
     A row ``{a: x, b: -x}`` says that columns a and b are equal modulo the
     rows.  Such columns are merged first, each into the larger one (a
-    four-term quotient has many: 964 of the 4 610 rows of order 6); the
-    other rows are rewritten in the surviving columns, again while that
-    makes new pairs, and only the distinct rewritten rows are eliminated.
+    four-term quotient has many: 964 of the 4 610 rows of order 6).  Only
+    the rows that hold a merged column are rewritten in the surviving
+    columns, again while that makes new pairs; the rest are eliminated as
+    the caller's objects, and a copy of a rewritten row reduces to zero.
     The lesser column of a pair is always a pivot, so a merged column c
     with root r then gets the RREF row of ``x_c - x_r``: ``{c: 1, r: -1}``
     if r is free, else r's pivot row with its entry moved from r to c.
@@ -149,46 +150,44 @@ def _integral(row: Mapping[int, int | Fraction]) -> Mapping[int, int]:
 
 
 def _identify(rows: list[Mapping[int, int]]) -> tuple[list[Mapping[int, int]], dict[int, int]]:
-    """The distinct rows left once the columns of every row ``{a: x, b: -x}`` are merged.
+    """The rows left once the columns of every row ``{a: x, b: -x}`` are merged.
 
-    Returns those rows and ``{merged column: root}``; without a pair, the
-    rows as they are.  Each pair's columns are merged into the larger one.
-    The rows that hold a merged column are rewritten in the roots, lesser
-    column first and its entry positive, and a rewritten row may be a new
-    pair: merging goes on until none is.
+    Returns those rows and ``{merged column: root}``.  A round merges each
+    pair's columns into the larger one, then rewrites in the roots only the
+    rows that hold a column it merged: lesser column first, its entry
+    positive, each distinct rewritten row once.  Every other row goes on as
+    the caller's own object.  The first round scans all rows for pairs, each
+    later one the rows rewritten before it.  A round that merges nothing
+    ends the pass: pair-free input comes back as it is, with ``{}``.
     """
     merged: dict[int, int] = {}
-    pairs = [tuple(row.items()) for row in rows if len(row) == 2 and sum(row.values()) == 0]
-    if not pairs:
-        return rows, merged
-    distinct = dict.fromkeys(tuple(row.items()) for row in rows)
-    while pairs:
+    scan = rows
+    while True:
         moved = set()
-        for (a, _), (b, _) in pairs:
-            a, b = _root(merged, a), _root(merged, b)
-            if a != b:
-                moved.add(min(a, b))
-                merged[min(a, b)] = max(a, b)
+        for row in scan:
+            if len(row) == 2 and sum(row.values()) == 0:
+                a, b = sorted(_root(merged, j) for j in row)
+                if a != b:
+                    moved.add(a)
+                    merged[a] = b
+        if not moved:
+            return rows, merged
         for col in merged:
             _root(merged, col)  # so that merged[col] is col's root
-        stale = [key for key in distinct if not moved.isdisjoint([j for j, _ in key])]
-        for key in stale:
-            del distinct[key]
-        pairs = []
-        for key in stale:
-            rewritten: dict[int, int] = {}
-            for j, v in key:
-                r = merged.get(j, j)
-                rewritten[r] = rewritten.get(r, 0) + v
-            row = tuple(sorted(item for item in rewritten.items() if item[1]))
-            if row and row[0][1] < 0:
-                row = tuple([(j, -v) for j, v in row])
-            if not row or row in distinct:
+        kept, rewritten = [], {}
+        for row in rows:
+            if moved.isdisjoint(row):
+                kept.append(row)
                 continue
-            distinct[row] = None
-            if len(row) == 2 and row[0][1] + row[1][1] == 0:
-                pairs.append(row)
-    return list(map(dict, distinct)), merged
+            sums: dict[int, int] = {}
+            for j, v in row.items():
+                r = merged.get(j, j)
+                sums[r] = sums.get(r, 0) + v
+            key = tuple(sorted(item for item in sums.items() if item[1]))
+            if key:
+                rewritten[key if key[0][1] > 0 else tuple([(j, -v) for j, v in key])] = None
+        scan = list(map(dict, rewritten))
+        rows = kept + scan
 
 
 def _root(merged: dict[int, int], col: int) -> int:

@@ -456,7 +456,7 @@ class TestReadmeCommands:
     """Every ``pdgenus`` line of the README's command-line block runs."""
 
     SKIPPED = {
-        ("dims", "7", "--json"),  # about 7 s; pytest -m slow checks dim_quotient(7)
+        ("dims", "7", "--json"),  # about 2-3 s; pytest -m slow checks dim_quotient(7)
         ("genus", "--map", "path/to/map.txt"),  # a placeholder path
     }
     STDOUT = {

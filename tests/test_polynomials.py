@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,8 @@ class TestIdentifications:
             (4, "28577b8a9e4906fd"),
             (5, "b002a3ee0f76743a"),
             (6, "ef1fa23aedd2e8b2"),
+            # the only order whose rounds 2-4 each rewrite rows (455, 219, then 52)
+            pytest.param(7, "4d82541e58914a51", marks=pytest.mark.slow),
         ],
     )
     def test_pinned_pivot_rows_of_the_four_term_relations(self, n, digest):
@@ -335,3 +338,31 @@ class TestIdentifications:
         pivots = _reduced_echelon(quadruple_vectors(n))
         rows = [(col, sorted(row.items())) for col, row in sorted(pivots.items())]
         assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+    def test_rows_without_a_merged_column_are_the_callers_objects(self):
+        rows = [{0: 1, 1: -1}, {2: 1, 3: 2}, {1: 1, 2: 1}, {0: 2, 3: 1}]
+        out, merged = _identify(rows)
+        assert merged == {0: 1}
+        assert out[0] is rows[1] and out[1] is rows[2] and out[2:] == [{1: 2, 3: 1}]
+        rows = [_integral(row) for row in quadruple_vectors(6)]
+        out, merged = _identify(rows)
+        given = {id(row) for row in rows}
+        untouched = [id(row) for row in rows if merged.keys().isdisjoint(row)]
+        assert len(untouched) == 847
+        assert [id(row) for row in out if id(row) in given] == untouched
+
+    def test_pair_free_input_comes_back_as_it_is(self):
+        rows = [{0: 1, 1: 1}, {1: 2, 2: -1}, {0: 1, 1: -2}, {2: 3}]
+        out, merged = _identify(rows)
+        assert out is rows and merged == {}
+
+    def test_identify_at_order_six_peaks_under_half_a_mib(self):
+        rows = [_integral(row) for row in quadruple_vectors(6)]
+        tracemalloc.start()
+        try:
+            _identify(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.2 MB; a key for each of the 4 610 rows took 1.4 MB
+        assert peak < 0.5 * 2**20
