@@ -20,8 +20,8 @@ from .diagrams import (
     partial_dual_diagram,
     product,
 )
-from .golden import verify_golden_table
 from .maps import CombinatorialMap
+from .polynomials import _signed_sum
 from .weight_system import check_4T, dim_quotient, pd_genus_polynomial
 
 USAGE_ERROR = 1
@@ -72,8 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add_parser(name: str, run, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         # accepted before or after the subcommand
         p.add_argument(
             "--json", action="store_true", default=argparse.SUPPRESS,
@@ -88,55 +89,49 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"run an order above {MAX_ORDER}, which may take hours or gigabytes",
         )
 
-    p = add_parser("poly", help="genus polynomial over all partial duals")
+    p = add_parser("poly", _cmd_poly, help="genus polynomial over all partial duals")
     p.add_argument("diagram")
 
-    p = add_parser("dual", help="partial dual of a diagram, as circles and chords")
+    p = add_parser("dual", _cmd_dual, help="partial dual of a diagram, as circles and chords")
     p.add_argument("diagram")
     p.add_argument("--chords", default="", help="comma-separated chord labels")
 
-    p = add_parser("genus", help="genus of a diagram or of a map file")
+    p = add_parser("genus", _cmd_genus, help="genus of a diagram or of a map file")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("diagram", nargs="?", help="a diagram word")
     source.add_argument("--map", metavar="FILE", help="a sigma/alpha map file")
 
-    p = add_parser("enum", help="all chord diagrams of a given order")
+    p = add_parser("enum", _cmd_enum, help="all chord diagrams of a given order")
     add_order(p)
     p.add_argument("--limit", type=int, default=None, help="print at most this many")
 
-    p = add_parser("check4t", help="verify the four-term relation exhaustively")
+    p = add_parser("check4t", _cmd_check4t, help="verify the four-term relation exhaustively")
     add_order(p)
 
-    p = add_parser("dims", help="dimension of diagrams modulo four-term relations")
+    p = add_parser("dims", _cmd_dims, help="dimension of diagrams modulo four-term relations")
     add_order(p)
 
-    add_parser("table", help="golden order-4 table with computed values and errata")
+    add_parser("table", _cmd_table, help="golden order-4 table with computed values and errata")
 
-    p = add_parser("product", help="connected sum of two diagrams")
+    p = add_parser("product", _cmd_product, help="connected sum of two diagrams")
     p.add_argument("d1")
     p.add_argument("d2")
     p.add_argument("--cuts", default="0,0", help="gap positions, e.g. 2,1")
 
-    p = add_parser("slide", help="slide one chord end along another chord")
+    p = add_parser("slide", _cmd_slide, help="slide one chord end along another chord")
     p.add_argument("diagram")
     p.add_argument("--move", type=int, required=True, help="word position of the moving end")
     p.add_argument("--along", type=int, required=True, help="label of the fixed chord")
 
-    p = add_parser("interlace", help="interlacement graph and sequence")
+    p = add_parser("interlace", _cmd_interlace, help="interlacement graph and sequence")
     p.add_argument("diagram")
     return parser
 
 
 def _format_relation(relation: dict[str, int]) -> str:
-    parts = []
-    for label, c in relation.items():
-        mag = abs(c)
-        term = label if mag == 1 else f"{mag}*{label}"
-        if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
-        else:
-            parts.append(f"- {term}" if c < 0 else f"+ {term}")
-    return " ".join(parts) if parts else "0"
+    return _signed_sum(
+        (c, label if abs(c) == 1 else f"{abs(c)}*{label}") for label, c in relation.items()
+    )
 
 
 def _print(payload: dict, text: str, as_json: bool) -> None:
@@ -268,6 +263,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .golden import verify_golden_table  # golden loads ast; only table reads it
+
     rows, errata = verify_golden_table()
     if args.json:
         payload = {"rows": [r.to_json() for r in rows], "errata": errata}
@@ -335,25 +332,11 @@ def _cmd_interlace(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "poly": _cmd_poly,
-    "dual": _cmd_dual,
-    "genus": _cmd_genus,
-    "enum": _cmd_enum,
-    "check4t": _cmd_check4t,
-    "dims": _cmd_dims,
-    "table": _cmd_table,
-    "product": _cmd_product,
-    "slide": _cmd_slide,
-    "interlace": _cmd_interlace,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     except (ValueError, OSError) as exc:

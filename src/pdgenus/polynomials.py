@@ -83,9 +83,7 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         """Canonical ascending text form, e.g. ``2 + 10z + 4z^2``."""
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -96,17 +94,25 @@ class IntPolynomial:
                 term = "z" if mag == 1 else f"{mag}z"
             else:
                 term = f"z^{i}" if mag == 1 else f"{mag}z^{i}"
-            if not parts:
-                parts.append(f"-{term}" if c < 0 else term)
-            else:
-                parts.append(f"- {term}" if c < 0 else f"+ {term}")
-        return " ".join(parts)
+            terms.append((c, term))
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """``(coefficient, text of its magnitude)`` terms as ``-a + b - c``; none read ``0``."""
+    parts = []
+    for c, term in terms:
+        if not parts:
+            parts.append(f"-{term}" if c < 0 else term)
+        else:
+            parts.append(f"- {term}" if c < 0 else f"+ {term}")
+    return " ".join(parts) if parts else "0"
 
 
 def _reduced_echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:

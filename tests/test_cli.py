@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pdgenus import cli, diagrams, weight_system
+from pdgenus import cli, diagrams, golden, weight_system
 from pdgenus.cli import main
 from pdgenus.diagrams import ChordDiagram
 from pdgenus.maps import CombinatorialMap, format_cycles
@@ -78,6 +78,50 @@ class TestChecks:
         code, out, _ = run(capsys, "check4t", "--help")
         assert code == 0
         assert "--threads" not in out
+
+    # the two quadruples of order 3 that hold class 4, 1 2 3 1 2 3, with opposite signs
+    WITNESSES = [
+        {
+            "quadruple": ["1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3", "1 2 1 3 2 3"],
+            "residual": {"coeffs": [0, 1]},
+        },
+        {
+            "quadruple": ["1 2 1 3 2 3", "1 1 2 3 2 3", "1 2 1 3 2 3", "1 2 3 1 2 3"],
+            "residual": {"coeffs": [0, -1]},
+        },
+    ]
+
+    @pytest.fixture
+    def wrong_polynomial(self, monkeypatch):
+        # class 4 of order 3 reads 9z instead of 8z
+        table = weight_system._gamma_table
+
+        def wrong_table(n):
+            polys = list(table(n))
+            polys[4] += IntPolynomial([0, 1])
+            return tuple(polys)
+
+        monkeypatch.setattr(weight_system, "_gamma_table", wrong_table)
+
+    def test_check4t_violation_exits_two_with_witnesses(self, capsys, wrong_polynomial):
+        code, out, err = run(capsys, "check4t", "3")
+        assert (code, err) == (2, "")
+        lines = [f"violation: {witness}" for witness in self.WITNESSES]
+        assert out.splitlines() == lines + ["n=3: 6 quadruples, 2 violations"]
+        assert out.splitlines()[0] == (
+            "violation: {'quadruple': ['1 1 2 3 2 3', '1 2 1 3 2 3', '1 2 3 1 2 3', "
+            "'1 2 1 3 2 3'], 'residual': {'coeffs': [0, 1]}}"
+        )
+
+    def test_check4t_violation_json_puts_witnesses_before_the_summary(
+        self, capsys, wrong_polynomial
+    ):
+        code, out, err = run(capsys, "check4t", "3", "--json")
+        assert (code, err) == (2, "")
+        assert [json.loads(line) for line in out.splitlines()] == self.WITNESSES + [
+            {"n": 3, "quadruples": 6, "violations": 2}
+        ]
+        assert out.splitlines()[-1] == '{"n": 3, "quadruples": 6, "violations": 2}'
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "4")
@@ -403,6 +447,28 @@ class TestTable:
         assert len(payload["rows"]) == 18
         assert payload["rows"][0]["gamma"] == [0, 8, 8]
 
+    @pytest.mark.parametrize("argv", [["table"], ["table", "--json"]])
+    def test_wrong_expected_gamma_exits_two(self, capsys, monkeypatch, argv):
+        # row 1, d4_1, expects a polynomial that its diagram does not have
+        load = golden.load_golden_table
+
+        def wrong_table():
+            data = load()
+            data["order4"][0]["gamma"] = [0, 8, 7, 1]
+            return data
+
+        monkeypatch.setattr(golden, "load_golden_table", wrong_table)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "")
+        note = "computed gamma 8z + 8z^2 differs from expected 8z + 7z^2 + z^3"
+        if argv[-1] == "--json":
+            payload = json.loads(out)
+            assert payload["rows"][0]["expected_gamma"] == [0, 8, 7, 1]
+            assert {"rows": [1], "kind": "verification-failure", "note": note} in payload["errata"]
+        else:
+            assert "  1  d4_1   (3,3,3,3)            8z + 8z^2          errata = " in out
+            assert out.endswith(f"  rows [1] (verification-failure): {note}\n")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -450,6 +516,15 @@ class TestReportDigests:
         code, out, _ = run(capsys, "--json", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_module_runs_as_a_script():
+    child = subprocess.run(
+        [sys.executable, "-m", "pdgenus.cli", "poly", "1 2 1 2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "2 + 2z\n", "")
 
 
 class TestReadmeCommands:

@@ -92,6 +92,9 @@ class TestCanonicalForm:
         assert P("7 3 7 3") == P("1 2 1 2")
         assert hash(P("7 3 7 3")) == hash(P("1 2 1 2"))
 
+    def test_repr_keeps_the_labels(self):
+        assert repr(P("7 3 7 3")) == "ChordDiagram.parse('7 3 7 3')"
+
     def test_ordering_against_a_non_diagram_raises_type_error(self):
         with pytest.raises(TypeError):
             P("1 2 1 2") < 1

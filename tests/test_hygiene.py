@@ -51,7 +51,7 @@ def _modules_added_by(statement):
     """The modules that ``statement`` adds to a fresh interpreter's ``sys.modules``.
 
     Modules that the interpreter loads before running it (``site`` and its path
-    hooks) do not count.
+    hooks) do not count.  Whatever ``statement`` prints comes before the last line.
     """
     script = f"import sys; bare = set(sys.modules); {statement}; print(*set(sys.modules) - bare)"
     child = subprocess.run(
@@ -59,7 +59,7 @@ def _modules_added_by(statement):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(pdgenus.__file__).parent.parent)},
     )
-    return set(child.stdout.split())
+    return set(child.stdout.splitlines()[-1].split())
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_json():
@@ -68,10 +68,16 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_json():
     assert added.isdisjoint({"dataclasses", "inspect", "json"})
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+def test_importing_the_cli_loads_no_golden_ast_dataclasses_or_inspect():
+    # only the table command reads the golden table, and golden loads ast
     added = _modules_added_by("import pdgenus.cli")
-    assert {"pdgenus.cli", "pdgenus.golden"} <= added
-    assert added.isdisjoint({"dataclasses", "inspect"})
+    assert "pdgenus.cli" in added
+    assert added.isdisjoint({"pdgenus.golden", "ast", "dataclasses", "inspect"})
+
+
+def test_the_table_command_loads_golden():
+    added = _modules_added_by("import pdgenus.cli; pdgenus.cli.main(['--json', 'table'])")
+    assert {"pdgenus.golden", "ast"} <= added
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

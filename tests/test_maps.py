@@ -56,6 +56,8 @@ class TestValidation:
     def test_size_mismatch_rejected(self):
         with pytest.raises(SizeMismatchError):
             CombinatorialMap((0, 1), (1, 0, 3, 2))
+        with pytest.raises(SizeMismatchError, match="even"):
+            CombinatorialMap((1, 2, 0), (1, 0, 2))
 
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +255,21 @@ class TestSlide:
         with pytest.raises(NotAdjacentError):
             m.slide(0, 0)
 
+    def test_half_edge_or_edge_out_of_range_rejected(self):
+        m = interlaced_pair()
+        for moving in (-1, 4):
+            with pytest.raises(NotAdjacentError, match="out of range"):
+                m.slide(moving, 1)
+        for along in (-1, 2):
+            with pytest.raises(EdgeOutOfRangeError):
+                m.slide(0, along)
+
+    def test_hash_and_repr(self):
+        m = interlaced_pair()
+        same = CombinatorialMap(list(m.sigma), list(m.alpha))
+        assert same is not m and same == m and hash(same) == hash(m)
+        assert repr(m) == "CombinatorialMap(sigma='(0 1 2 3)', alpha='(0 2)(1 3)')"
+
     def test_genus_and_boundary_preserved_randomized(self):
         rng = random.Random(7)
         done = 0
@@ -299,6 +316,8 @@ class TestTextFormat:
             CombinatorialMap.from_text("sigma: (0 1\nalpha: (0 1)")
         with pytest.raises(ValueError):
             CombinatorialMap.from_text("sigma: (0 1)(1 0)\nalpha: (0 1)")
+        with pytest.raises(FixedPointError, match="alpha fixes one"):
+            CombinatorialMap.from_text("sigma: (0 1 2)\nalpha: (0 1)")
 
     def test_format_cycles(self):
         assert format_cycles((1, 0, 3, 2)) == "(0 1)(2 3)"

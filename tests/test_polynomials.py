@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +37,12 @@ class TestIntPolynomial:
         assert p + IntPolynomial() == p
         assert p - p == IntPolynomial()
 
+    @pytest.mark.parametrize("other", [1.5, "z", (1, 2)])
+    def test_arithmetic_with_a_non_polynomial_raises_type_error(self, other):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(P(1, 2), other)
+
     def test_coeff_sum_counts_subsets(self):
         assert P(2, 10, 4).coeff_sum() == 16
 
@@ -57,6 +64,11 @@ class TestIntPolynomial:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+    def test_hash_and_repr_ignore_trailing_zeros(self):
+        assert hash(IntPolynomial([1, 2, 0])) == hash(IntPolynomial([1, 2]))
+        assert repr(IntPolynomial([1, 2, 0])) == "IntPolynomial([1, 2])"
+        assert repr(IntPolynomial()) == "IntPolynomial([])"
 
     def test_text_form(self):
         assert str(P(2, 10, 4)) == "2 + 10z + 4z^2"
@@ -104,6 +116,11 @@ class TestRationalMatrix:
         x = m.solve([2, 3, 5])
         assert x == [Fraction(2), Fraction(3)]
         assert m.solve([1, 0, 0]) is None
+
+    @pytest.mark.parametrize("target", [[2, 3], [2, 3, 5, 0]])
+    def test_solve_target_of_wrong_length_rejected(self, target):
+        with pytest.raises(ValueError, match="row count"):
+            dense(zip(*[[1, 0, 1], [0, 1, 1]])).solve(target)
 
     def test_solve_column_of_matrix(self):
         m = dense(zip(*[[1, 2], [3, 4]]))

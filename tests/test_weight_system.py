@@ -721,6 +721,24 @@ class TestIntersectionGraphInvariance:
         check_intersection_graph_invariance(4)
         assert len(walked) == len(enumerate_diagrams(4))
 
+    def test_a_differing_member_is_reported_with_its_class(self, monkeypatch):
+        # the second of the three order-4 diagrams whose chords cross nothing walks to 16 + z
+        odd_one = P("1 1 2 2 3 4 4 3").to_map()
+
+        def wrong_walk(m):
+            poly = _genus_distribution(m)
+            return poly + IntPolynomial([0, 1]) if m == odd_one else poly
+
+        monkeypatch.setattr(weight_system, "_genus_distribution", wrong_walk)
+        report = check_intersection_graph_invariance(4)
+        assert report["violations"] == 1
+        assert report["violations_list"] == [
+            {
+                "diagrams": ["1 1 2 2 3 3 4 4", "1 1 2 2 3 4 4 3", "1 1 2 3 4 4 3 2"],
+                "polynomials": [{"coeffs": [16]}, {"coeffs": [16, 1]}, {"coeffs": [16]}],
+            }
+        ]
+
     def test_order_four_coincidence_classes(self):
         report = check_intersection_graph_invariance(4)
         by_poly = {}
