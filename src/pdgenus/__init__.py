@@ -30,7 +30,6 @@ from .maps import (
     NotAdjacentError,
     NotInvolutionError,
     SizeMismatchError,
-    are_isomorphic,
 )
 from .polynomials import IntPolynomial, RationalMatrix
 from .weight_system import (
@@ -66,7 +65,6 @@ __all__ = [
     "RationalMatrix",
     "SizeMismatchError",
     "UnknownChordError",
-    "are_isomorphic",
     "caravan",
     "check_4T",
     "check_intersection_graph_invariance",

@@ -134,9 +134,6 @@ class ChordDiagram:
     def genus(self) -> int:
         return self.to_map().genus()
 
-    def boundary_count(self) -> int:
-        return self.to_map().counts()[2]
-
     # -- interlacement ----------------------------------------------------
 
     def interlace_graph(self) -> list[list[int]]:

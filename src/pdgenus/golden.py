@@ -156,12 +156,3 @@ def _sum_value(node: ast.AST) -> int:
     if isinstance(node, ast.BinOp) and type(node.op) in _SUM_OPS:
         return _SUM_OPS[type(node.op)](_sum_value(node.left), _sum_value(node.right))
     raise ValueError(f"not part of a published polynomial: {ast.unparse(node)}")
-
-
-def small_golden_values() -> list[tuple[ChordDiagram, IntPolynomial]]:
-    """The published genus polynomials for orders 1..3, in published order."""
-    data = load_golden_table()
-    return [
-        (ChordDiagram.parse(entry["word"]), IntPolynomial(entry["gamma"]))
-        for entry in data["small"]
-    ]

@@ -72,8 +72,9 @@ def _discover(sigma: Sequence[int], alpha: Sequence[int], start: int) -> dict[in
     """Every half-edge sigma and alpha reach from ``start``, named in discovery order.
 
     Breadth first from ``start`` (named 0), each visited half-edge h names
-    ``sigma[h]`` and then ``alpha[h]`` if they are new.  The dict iterates
-    in name order.
+    ``sigma[h]`` and then ``alpha[h]`` if they are new.  The dict iterates in
+    name order.  It gives the connected components, and the names by which
+    the tests' isomorphism oracle compares maps.
     """
     names = {start: 0}
     order = [start]
@@ -89,8 +90,8 @@ class CombinatorialMap:
     """An oriented ribbon graph on the half-edge set ``0..2e-1``."""
 
     __slots__ = (
-        "sigma", "alpha", "edges", "_edge_of", "_vertices", "_components", "_face_step",
-        "_edge_bits", "_vertex_masks",
+        "sigma", "alpha", "edges", "_vertices", "_components", "_face_step", "_edge_bits",
+        "_vertex_masks",
     )
 
     def __init__(self, sigma: Iterable[int], alpha: Iterable[int]) -> None:
@@ -118,7 +119,6 @@ class CombinatorialMap:
         edge_of = [0] * len(alpha)
         for i, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = i
-        self._edge_of = tuple(edge_of)
         self._vertices = _cycles(sigma)
         seen: set[int] = set()
         components = []
@@ -144,10 +144,6 @@ class CombinatorialMap:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def edge_index(self, half_edge: int) -> int:
-        """The edge (alpha-orbit) index a half-edge belongs to."""
-        return self._edge_of[half_edge]
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertices
@@ -212,10 +208,6 @@ class CombinatorialMap:
             sigma[alpha[h]] if mask & bits[h] else sigma[h] for h in range(len(sigma))
         )
         return CombinatorialMap(new_sigma, alpha)
-
-    def euler_dual(self) -> CombinatorialMap:
-        """Classical duality: the partial dual relative to all edges."""
-        return self.partial_dual((1 << len(self.edges)) - 1)
 
     def spanning_boundary_count(self, subset: EdgeSubset | Iterable[int]) -> int:
         """Number of boundary components of the spanning subgraph (V, A).
@@ -320,14 +312,22 @@ class CombinatorialMap:
 
     @classmethod
     def from_text(cls, text: str) -> CombinatorialMap:
-        """Parse the two-line map format ``sigma: (0 1 2 3)`` / ``alpha: (0 2)(1 3)``."""
+        """Parse the two-line map format ``sigma: (0 1 2 3)`` / ``alpha: (0 2)(1 3)``.
+
+        Blank lines and ``#`` lines are skipped; any other line, a second
+        ``sigma:`` or ``alpha:`` included, raises ``ValueError`` naming it.
+        """
         parts: dict[str, str] = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition(":")
-            parts[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key not in ("sigma", "alpha") or key in parts:
+                what = f"a second {key}" if key in parts else "not a sigma or alpha"
+                raise ValueError(f"map text line {number} is {what} line: {line!r}")
+            parts[key] = value.strip()
         if "sigma" not in parts or "alpha" not in parts:
             raise ValueError("map text needs both a 'sigma:' and an 'alpha:' line")
         alpha_cycles = _parse_cycle_text(parts["alpha"])
@@ -376,34 +376,3 @@ def _perm_from_cycles(cycles: list[list[int]], size: int) -> list[int]:
 def format_cycles(perm: Sequence[int]) -> str:
     return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(perm))
 
-
-# -- isomorphism ---------------------------------------------------------
-
-
-def _canonical_code(m: CombinatorialMap) -> tuple:
-    """A value two maps share exactly when they are isomorphic.
-
-    sigma and alpha act transitively on a connected component, so naming
-    one start half-edge 0 names every other one by discovery order, and a
-    rooted map has no nontrivial automorphism (Tutte, 1963).  A start's
-    code is sigma and alpha rewritten in those names; a component's code
-    is the least over its starts, and the map's the sorted tuple of its
-    components' codes.
-    """
-    sigma, alpha = m.sigma, m.alpha
-    codes = []
-    for comp in m.connected_components():
-        rooted = []
-        for start in comp:
-            names = _discover(sigma, alpha, start)
-            rooted.append((
-                tuple([names[sigma[h]] for h in names]),
-                tuple([names[alpha[h]] for h in names]),
-            ))
-        codes.append(min(rooted))
-    return tuple(sorted(codes))
-
-
-def are_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
-    """Whether two maps differ only by a relabelling of half-edges."""
-    return m1.num_half_edges == m2.num_half_edges and _canonical_code(m1) == _canonical_code(m2)

@@ -275,14 +275,18 @@ class RationalMatrix:
 
     def __init__(self, rows: Iterable[Mapping[int, object]], num_cols: int) -> None:
         """Rows are ``{column: value}`` mappings; zeros are dropped, floats raise ``TypeError``."""
+        num_cols = operator.index(num_cols)
+        if num_cols < 0:
+            raise ValueError(f"num_cols {num_cols} is negative")
         self.num_cols = num_cols
         # an int is kept as it is; calling _exact on every entry made the build 12% slower
         self.rows = tuple(
             {j: x if type(x) is int else _exact(x) for j, x in row.items() if x}
             for row in rows
         )
+        columns = set(range(num_cols))
         for row in self.rows:
-            if row and (min(row) < 0 or max(row) >= num_cols):
+            if not row.keys() <= columns:
                 raise ValueError(f"column outside range({num_cols}) in row {row}")
 
     def rank(self) -> int:

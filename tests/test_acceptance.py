@@ -11,7 +11,6 @@ import time
 
 from pdgenus.diagrams import ChordDiagram, caravan, enumerate_diagrams
 from pdgenus.golden import verify_golden_table
-from pdgenus.maps import are_isomorphic
 from pdgenus.polynomials import IntPolynomial
 from pdgenus.weight_system import (
     check_4T,
@@ -22,7 +21,7 @@ from pdgenus.weight_system import (
 )
 
 from test_diagrams import _burnside_count
-from test_maps import random_map
+from test_maps import _edge_of, are_isomorphic, random_map
 
 P = ChordDiagram.parse
 
@@ -150,14 +149,15 @@ def test_criterion_06_structural_properties():
         done = 0
         while done < 300:
             m = random_map(rng, rng.randrange(2, 7))
+            edge_of = _edge_of(m)
             inv = [0] * m.num_half_edges
             for h, img in enumerate(m.sigma):
                 inv[img] = h
             moves = [
-                (h, m.edge_index(k))
+                (h, edge_of[k])
                 for h in range(m.num_half_edges)
                 for k in (m.sigma[h], inv[h])
-                if k != h and h not in m.edges[m.edge_index(k)]
+                if k != h and h not in m.edges[edge_of[k]]
             ]
             if not moves:
                 continue
@@ -210,9 +210,9 @@ def test_criterion_09_caravan_classification():
         for n in range(1, 5):
             for d in enumerate_diagrams(n):
                 g = d.genus()
-                f = d.boundary_count()
+                f = d.to_map().counts()[2]
                 c = caravan(f - 1, g)
-                assert (c.genus(), c.boundary_count()) == (g, f)
+                assert (c.genus(), c.to_map().counts()[2]) == (g, f)
 
     _criterion(9, "every diagram n<=4 matches caravan(f-1, g) in genus and boundary", check)
 

@@ -9,7 +9,6 @@ from pdgenus.golden import (
     _parse_published_sum,
     load_errata_notes,
     load_golden_table,
-    small_golden_values,
     verify_golden_table,
 )
 from pdgenus.polynomials import IntPolynomial
@@ -17,12 +16,14 @@ from pdgenus.weight_system import pd_genus_polynomial
 
 
 def test_small_values_match_computation():
-    for diagram, expected in small_golden_values():
-        assert pd_genus_polynomial(diagram) == expected, str(diagram)
+    for entry in load_golden_table()["small"]:
+        expected = IntPolynomial(entry["gamma"])
+        assert pd_genus_polynomial(ChordDiagram.parse(entry["word"])) == expected, entry["word"]
 
 
 def test_small_list_covers_all_diagrams_up_to_order_three():
-    listed = {d.canonical().word for d, _ in small_golden_values()}
+    small = load_golden_table()["small"]
+    listed = {ChordDiagram.parse(entry["word"]).canonical().word for entry in small}
     everything = {
         d.word for n in (1, 2, 3) for d in enumerate_diagrams(n)
     }

@@ -11,8 +11,7 @@ from pdgenus.maps import (
     NotAdjacentError,
     NotInvolutionError,
     SizeMismatchError,
-    _canonical_code,
-    are_isomorphic,
+    _discover,
     format_cycles,
 )
 
@@ -37,6 +36,15 @@ def random_map(rng, num_edges):
     for a, b in zip(halves[0::2], halves[1::2]):
         alpha[a], alpha[b] = b, a
     return CombinatorialMap(sigma, alpha)
+
+
+def _edge_of(m):
+    """The index in ``m.edges`` of the edge each half-edge lies on."""
+    edge_of = [0] * m.num_half_edges
+    for i, ends in enumerate(m.edges):
+        for h in ends:
+            edge_of[h] = i
+    return edge_of
 
 
 class TestValidation:
@@ -104,7 +112,7 @@ class TestPartialDual:
 
     def test_full_dual_of_interlaced_pair_self_dual(self):
         m = interlaced_pair()
-        dual = m.euler_dual()
+        dual = m.partial_dual((1 << m.num_edges) - 1)
         v, e, f, c = dual.counts()
         assert (v, e, f) == (1, 2, 1)
         assert dual.genus() == 1
@@ -113,9 +121,10 @@ class TestPartialDual:
         for d in enumerate_diagrams(3):
             m = d.to_map()
             v, e, f, c = m.counts()
-            dv, de, df, dc = m.euler_dual().counts()
+            dual = m.partial_dual((1 << m.num_edges) - 1)
+            dv, de, df, dc = dual.counts()
             assert (dv, de, df, dc) == (f, e, v, c)
-            assert m.genus() == m.euler_dual().genus()
+            assert m.genus() == dual.genus()
 
     def test_euler_dual_of_trees(self):
         # brute force over the path maps with e <= 3 edges
@@ -125,7 +134,7 @@ class TestPartialDual:
             3: CombinatorialMap((0, 2, 1, 4, 3, 5), (1, 0, 3, 2, 5, 4)),
         }
         for e, m in paths.items():
-            dual = m.euler_dual()
+            dual = m.partial_dual((1 << m.num_edges) - 1)
             assert dual.counts() == (1, e, e + 1, 1)
             assert dual.genus() == 0
 
@@ -191,13 +200,14 @@ class TestSpanningBoundaryCount:
         for num_edges in (1, 2, 3, 4, 5, 6):
             for _ in range(4):
                 m = random_map(rng, num_edges)
+                edge_of = _edge_of(m)
                 for mask in range(1 << num_edges):
                     expected = m.partial_dual(mask).counts()[0]
                     edges = [i for i in range(num_edges) if mask >> i & 1]
                     assert m.spanning_boundary_count(mask) == expected
                     assert m.spanning_boundary_count(edges) == expected
                     bare_vertices += sum(
-                        1 for cyc in m.vertices() if not {m.edge_index(h) for h in cyc} & set(edges)
+                        1 for cyc in m.vertices() if not {edge_of[h] for h in cyc} & set(edges)
                     )
         assert bare_vertices > 0
 
@@ -220,8 +230,9 @@ class TestFastGenusPath:
     def test_both_ends_of_an_edge_share_one_bit(self):
         # 80 edges: bits above 1 << 8 are not CPython's cached small ints
         m = random_map(random.Random(3), 80)
+        edge_of = _edge_of(m)
         for h, bit in enumerate(m._edge_bits):
-            assert bit == 1 << m._edge_of[h]
+            assert bit == 1 << edge_of[h]
             assert bit is m._edge_bits[m.alpha[h]]
 
     @pytest.mark.parametrize("subset", [-1, 8, [3]])
@@ -276,12 +287,13 @@ class TestSlide:
         while done < 1000:
             m = random_map(rng, rng.randrange(2, 7))
             moves = []
+            edge_of = _edge_of(m)
             inv = [0] * m.num_half_edges
             for h, img in enumerate(m.sigma):
                 inv[img] = h
             for h in range(m.num_half_edges):
                 for k in (m.sigma[h], inv[h]):
-                    edge = m.edge_index(k)
+                    edge = edge_of[k]
                     if h not in m.edges[edge] and k != h:
                         moves.append((h, edge))
             if not moves:
@@ -318,6 +330,23 @@ class TestTextFormat:
             CombinatorialMap.from_text("sigma: (0 1)(1 0)\nalpha: (0 1)")
         with pytest.raises(FixedPointError, match="alpha fixes one"):
             CombinatorialMap.from_text("sigma: (0 1 2)\nalpha: (0 1)")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("sigma: (0 1 2 3)\nalpha: (0 2)(1 3)\nsigma: (0 1)(2 3)", "line 3 is a second sigma"),
+            ("alpha: (0 1)\nsigma: (0 1)\n ALPHA: (0 1)", "line 3 is a second alpha"),
+            ("sigma: (0 1)\n\nalpah: (0 1)\nalpha: (0 1)", "line 3 is not a sigma or alpha"),
+            ("sigma: (0 1)\nalpha: (0 1)\n(0 1)", "line 3 is not a sigma or alpha"),
+        ],
+    )
+    def test_repeated_or_unknown_line_rejected(self, text, line):
+        with pytest.raises(ValueError, match=line):
+            CombinatorialMap.from_text(text)
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "# the interlaced pair\n\n  Sigma: (0 1 2 3)\n   # torus\nALPHA: (0 2)(1 3)\n\n"
+        assert CombinatorialMap.from_text(text) == interlaced_pair()
 
     def test_format_cycles(self):
         assert format_cycles((1, 0, 3, 2)) == "(0 1)(2 3)"
@@ -385,6 +414,35 @@ def _brute_force_isomorphic(m1, m2):
         all(p[m1.sigma[h]] == m2.sigma[p[h]] and p[m1.alpha[h]] == m2.alpha[p[h]] for h in ground)
         for p in itertools.permutations(ground)
     )
+
+
+def _canonical_code(m):
+    """A value two maps share exactly when they are isomorphic.
+
+    sigma and alpha act transitively on a connected component, so naming
+    one start half-edge 0 names every other one by discovery order, and a
+    rooted map has no nontrivial automorphism (Tutte, 1963).  A start's
+    code is sigma and alpha rewritten in those names; a component's code
+    is the least over its starts, and the map's the sorted tuple of its
+    components' codes.
+    """
+    sigma, alpha = m.sigma, m.alpha
+    codes = []
+    for comp in m.connected_components():
+        rooted = []
+        for start in comp:
+            names = _discover(sigma, alpha, start)
+            rooted.append((
+                tuple([names[sigma[h]] for h in names]),
+                tuple([names[alpha[h]] for h in names]),
+            ))
+        codes.append(min(rooted))
+    return tuple(sorted(codes))
+
+
+def are_isomorphic(m1, m2):
+    """Whether two maps differ only by a relabelling of half-edges."""
+    return m1.num_half_edges == m2.num_half_edges and _canonical_code(m1) == _canonical_code(m2)
 
 
 class TestCanonicalCode:

@@ -144,9 +144,19 @@ class TestRationalMatrix:
         assert exact.rows == ({0: Fraction(1, 10), 1: Fraction(1, 10), 2: Fraction(3)},)
 
     def test_out_of_range_column_rejected(self):
-        for column in (-1, 2):
+        # {1.5: 1} passed a min/max range check: rank 1 and two nullspace vectors on 2 columns
+        for column in (-1, 2, 1.5, "1", None):
             with pytest.raises(ValueError):
                 RationalMatrix([{0: 1}, {column: 1}], num_cols=2)
+
+    @pytest.mark.parametrize(
+        "num_cols, error",
+        [(2.0, TypeError), ("2", TypeError), (Fraction(2), TypeError), (-3, ValueError)],
+    )
+    def test_num_cols_that_is_not_a_count_rejected(self, num_cols, error):
+        # num_cols=2.0 was kept, and nullspace() then failed on range(2.0)
+        with pytest.raises(error):
+            RationalMatrix([], num_cols)
 
 
 class TestIntegerEliminator:

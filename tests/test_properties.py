@@ -20,10 +20,9 @@ from pdgenus.maps import (
     CombinatorialMap,
     FixedPointError,
     NotInvolutionError,
-    _canonical_code,
     format_cycles,
 )
-from test_maps import _relabelled
+from test_maps import _canonical_code, _relabelled
 
 # derandomized, with no example database: every run draws the same examples and writes nothing
 deterministic = settings(derandomize=True, database=None)
