@@ -414,6 +414,28 @@ class TestDual:
         assert payload["counts"]["v"] == 2
 
 
+def test_dual_and_slide_outputs_are_pinned(capsys):
+    """``dual`` over every chord subset and ``slide`` over every ``--move``/``--along``
+    pair, in text and JSON, over every diagram of orders 0-3: stdout and exit codes."""
+    digest = hashlib.sha256()
+    for n in range(4):
+        for d in diagrams.enumerate_diagrams(n):
+            word, labels = str(d), d.labels()
+            calls = [
+                ("dual", word, "--chords", ",".join(str(labels[i]) for i in range(n) if s >> i & 1))
+                for s in range(1 << n)
+            ]
+            calls += [
+                ("slide", word, "--move", str(move), "--along", str(along))
+                for move in range(2 * n) for along in labels
+            ]
+            for argv in calls:
+                for as_json in ((), ("--json",)):
+                    code, out, _ = run(capsys, *as_json, *argv)
+                    digest.update(f"{argv} {as_json} {code}\n{out}".encode())
+    assert digest.hexdigest() == "0de780326cafc66953090cb8a003f9e4e6c72d0c465a6e9eb46374ef2a41073b"
+
+
 class TestProductSlideInterlace:
     def test_product(self, capsys):
         code, out, _ = run(capsys, "product", "1 2 1 2", "1 2 1 2")
