@@ -14,12 +14,10 @@ from .diagrams import (
     EmptyCaravanError,
     InterlaceSequence,
     LabelCountError,
-    MultiCircleDiagram,
     OddLengthError,
     UnknownChordError,
     caravan,
     enumerate_diagrams,
-    from_map,
     partial_dual_diagram,
     product,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "IntPolynomial",
     "InterlaceSequence",
     "LabelCountError",
-    "MultiCircleDiagram",
     "NoSolutionError",
     "NotABasisError",
     "NotAdjacentError",
@@ -72,7 +69,6 @@ __all__ = [
     "dim_quotient",
     "enumerate_diagrams",
     "express_modulo_4T",
-    "from_map",
     "generate_4T_quadruples",
     "partial_dual_diagram",
     "pd_genus_polynomial",

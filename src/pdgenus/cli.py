@@ -13,13 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .diagrams import (
-    ChordDiagram,
-    enumerate_diagrams,
-    from_map,
-    partial_dual_diagram,
-    product,
-)
+from .diagrams import ChordDiagram, enumerate_diagrams, partial_dual_diagram, product
 from .maps import CombinatorialMap
 from .polynomials import _signed_sum
 from .weight_system import check_4T, dim_quotient, pd_genus_polynomial
@@ -186,14 +180,19 @@ def _cmd_dual(args) -> int:
     chords = set()
     if args.chords:
         chords = {int(tok) for tok in args.chords.split(",") if tok}
-    dual = partial_dual_diagram(diagram, chords)
-    m = dual.to_map()
-    payload = dual.to_json()
-    payload["genus"] = m.genus()
+    m = partial_dual_diagram(diagram, chords)
+    # the dual's vertices are its circles; edge i is still chord labels()[i]
+    side = ["out" if label in chords else "in" for label in diagram.labels()]
+    payload = {
+        "circles": [list(c) for c in m.vertices()],
+        "pairing": [list(p) for p in m.edges],
+        "side": side,
+        "genus": m.genus(),
+    }
     v, e, f, c = m.counts()
     payload["counts"] = {"v": v, "e": e, "f": f, "c": c}
-    lines = [f"circle {i}: " + " ".join(map(str, circle)) for i, circle in enumerate(dual.circles)]
-    lines.append("pairing: " + " ".join(f"{a}-{b}({s})" for (a, b), s in zip(dual.pairing, dual.side)))
+    lines = [f"circle {i}: " + " ".join(map(str, circle)) for i, circle in enumerate(m.vertices())]
+    lines.append("pairing: " + " ".join(f"{a}-{b}({s})" for (a, b), s in zip(m.edges, side)))
     lines.append(f"genus: {payload['genus']}  v={v} e={e} f={f} c={c}")
     _print(payload, "\n".join(lines), args.json)
     return 0
@@ -310,7 +309,7 @@ def _cmd_slide(args) -> int:
     if args.along not in labels:
         raise ValueError(f"no chord labelled {args.along}")
     slid = diagram.to_map().slide(args.move, labels.index(args.along))
-    result = from_map(slid).to_diagram()
+    result = ChordDiagram.from_map(slid)
     payload = {"word": list(result.word), "canonical": list(result.canonical().word)}
     _print(payload, str(result.canonical()), args.json)
     return 0

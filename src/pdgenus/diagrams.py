@@ -131,6 +131,19 @@ class ChordDiagram:
                 first[label] = i
         return CombinatorialMap(sigma, alpha)
 
+    @classmethod
+    def from_map(cls, m: CombinatorialMap) -> ChordDiagram:
+        """The diagram of a one-vertex map: the inverse of ``to_map``.
+
+        The circle is the vertex read from its least half-edge, and each
+        half-edge is labelled by its edge, then relabelled by first
+        occurrence.
+        """
+        if len(m.vertices()) != 1:
+            raise ValueError(f"map has {len(m.vertices())} vertices, not one")
+        edge_of = {h: i for i, edge in enumerate(m.edges) for h in edge}
+        return cls(normalize_labels([edge_of[h] for h in m.vertices()[0]]))
+
     def genus(self) -> int:
         return self.to_map().genus()
 
@@ -260,99 +273,13 @@ class InterlaceSequence(NamedTuple):
         return "∨".join("(" + ",".join(map(str, f)) + ")" for f in self.factors)
 
 
-class _MultiCircleFields(NamedTuple):
-    circles: tuple[tuple[int, ...], ...]
-    pairing: tuple[tuple[int, int], ...]
-    side: tuple[str, ...]
+def partial_dual_diagram(diagram: ChordDiagram, chords: Iterable[int]) -> CombinatorialMap:
+    """Partial dual of a one-vertex diagram relative to the chords with these labels.
 
-
-class MultiCircleDiagram(_MultiCircleFields):
-    """A chord diagram on several circles, one per vertex of a ribbon graph.
-
-    ``circles`` lists half-chord ids in circle order, ``pairing`` matches
-    the two ends of each chord, and ``side`` says whether a chord attaches
-    from the inside or outside of its circles.  Side flags affect only
-    rendering and serialization, never genus computations (those go
-    through the map).  An immutable value: a named tuple of its three
-    fields, checked at construction.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, circles, pairing, side) -> MultiCircleDiagram:
-        elements = [h for circle in circles for h in circle]
-        if sorted(elements) != list(range(len(elements))):
-            raise ValueError("circles must cover half-chord ids 0..2n-1 exactly once")
-        mate: dict[int, int] = {}
-        for a, b in pairing:
-            if a == b or a in mate or b in mate:
-                raise ValueError("pairing is not a fixed-point-free involution")
-            mate[a] = b
-            mate[b] = a
-        if sorted(mate) != list(range(len(elements))):
-            raise ValueError("pairing does not match the circle elements")
-        if len(side) != len(pairing):
-            raise ValueError("one side flag per chord is required")
-        if any(s not in ("in", "out") for s in side):
-            raise ValueError("side flags must be 'in' or 'out'")
-        return super().__new__(cls, circles, pairing, side)
-
-    def to_map(self) -> CombinatorialMap:
-        size = 2 * len(self.pairing)
-        sigma = [0] * size
-        for circle in self.circles:
-            for i, h in enumerate(circle):
-                sigma[h] = circle[(i + 1) % len(circle)]
-        alpha = [0] * size
-        for a, b in self.pairing:
-            alpha[a] = b
-            alpha[b] = a
-        return CombinatorialMap(sigma, alpha)
-
-    def to_diagram(self) -> ChordDiagram:
-        """The single-circle case back as an ordinary chord diagram."""
-        if len(self.circles) != 1:
-            raise ValueError(f"diagram lives on {len(self.circles)} circles, not one")
-        chord_of = {h: i for i, pair in enumerate(self.pairing) for h in pair}
-        return ChordDiagram(normalize_labels([chord_of[h] for h in self.circles[0]]))
-
-    def to_json(self) -> dict:
-        return {
-            "circles": [list(c) for c in self.circles],
-            "pairing": [list(p) for p in self.pairing],
-            "side": list(self.side),
-        }
-
-    def __str__(self) -> str:
-        import json  # here, not at the top: importing pdgenus then loads no json
-
-        return json.dumps(self.to_json())
-
-
-def from_map(m: CombinatorialMap, side: Sequence[str] | None = None) -> MultiCircleDiagram:
-    """Read a map as a chord diagram on one circle per vertex.
-
-    Circles are the sigma-orbits in cyclic order (started at their minimal
-    half-edge) and the pairing comes from alpha.  Chords attach from the
-    inside by default.
-    """
-    circles = m.vertices()
-    pairing = m.edges
-    if side is None:
-        side = ("in",) * len(pairing)
-    return MultiCircleDiagram(circles, pairing, tuple(side))
-
-
-def partial_dual_diagram(
-    diagram: ChordDiagram, chords: Iterable[int]
-) -> MultiCircleDiagram:
-    """Partial dual of a one-vertex diagram, in chord-diagram language.
-
-    Goes through the map: dualize the diagram's ribbon graph relative to
-    the selected chords and read the result back as oriented circles.
-    Untouched chords keep the "in" side flag, the replacement chord of
-    each dualized edge is flagged "out"; the flags only affect rendering
-    and serialization.
+    The dual is a ribbon graph with one vertex per circle: its
+    ``vertices()`` are the circles, each in circle order from its least
+    half-edge.  Partial duality keeps alpha, so edge i of the dual is
+    still chord ``diagram.labels()[i]``.
     """
     chord_set = set(chords)
     labels = diagram.labels()
@@ -360,9 +287,7 @@ def partial_dual_diagram(
     if unknown:
         raise UnknownChordError(f"no chord labelled {sorted(unknown)!r}")
     mask = sum(1 << i for i, label in enumerate(labels) if label in chord_set)
-    dual = diagram.to_map().partial_dual(mask)
-    side = tuple("out" if mask >> i & 1 else "in" for i in range(len(dual.edges)))
-    return from_map(dual, side)
+    return diagram.to_map().partial_dual(mask)
 
 
 def product(

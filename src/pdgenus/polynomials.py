@@ -279,9 +279,10 @@ class RationalMatrix:
         if num_cols < 0:
             raise ValueError(f"num_cols {num_cols} is negative")
         self.num_cols = num_cols
-        # an int is kept as it is; calling _exact on every entry made the build 12% slower
+        # an int is kept as it is; calling _exact on every entry made the build 12% slower.
+        # A column is read as num_cols is: 1.0 raises TypeError, True is stored as 1.
         self.rows = tuple(
-            {j: x if type(x) is int else _exact(x) for j, x in row.items() if x}
+            {operator.index(j): x if type(x) is int else _exact(x) for j, x in row.items() if x}
             for row in rows
         )
         columns = set(range(num_cols))

@@ -120,23 +120,22 @@ def check_4T(n: int, threads: int = 1) -> dict:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
     diagrams = enumerate_diagrams(n)
-    coeffs = [p.coeffs for p in _gamma_table(n)]
+    table = _gamma_table(n)
     # Each polynomial as its value at z = 2**shift.  A residual's coefficients
     # are then below 2**(shift - 1) in size, so its value at z is zero only
     # when every coefficient is.  The shift comes from the table itself, not
     # from n, so that it holds for any tabulated invariant.
-    shift = 3 + max((c.bit_length() for cs in coeffs for c in cs), default=0)
-    values = [sum(c << shift * k for k, c in enumerate(cs)) for cs in coeffs]
+    shift = 3 + max((c.bit_length() for p in table for c in p.coeffs), default=0)
+    values = [sum(c << shift * k for k, c in enumerate(p.coeffs)) for p in table]
 
-    # Coefficients and a polynomial only for a violation.
+    # A polynomial only for a violation.
     violations = []
     for a, b, c, d in quadruples:
         if values[a] - values[b] + values[c] - values[d]:
-            padded = itertools.zip_longest(coeffs[a], coeffs[b], coeffs[c], coeffs[d], fillvalue=0)
             violations.append(
                 {
                     "quadruple": [str(diagrams[i]) for i in (a, b, c, d)],
-                    "residual": IntPolynomial(w - x + y - z for w, x, y, z in padded).to_json(),
+                    "residual": (table[a] - table[b] + table[c] - table[d]).to_json(),
                 }
             )
     return {

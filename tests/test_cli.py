@@ -413,6 +413,16 @@ class TestDual:
         assert set(payload) == {"circles", "pairing", "side", "genus", "counts"}
         assert payload["counts"]["v"] == 2
 
+    def test_json_reads_the_dual_map(self, capsys):
+        # the dual's vertices are the circles, its edges the chords of labels() in order
+        code, out, _ = run(capsys, "dual", "--json", "1 2 1 3 2 3", "--chords", "1")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["circles"] == [[0, 3, 4, 5], [1, 2]]
+        assert payload["pairing"] == [[0, 2], [1, 4], [3, 5]]
+        assert payload["side"] == ["out", "in", "in"]
+        assert (payload["genus"], payload["counts"]) == (1, {"v": 2, "e": 3, "f": 1, "c": 1})
+
 
 def test_dual_and_slide_outputs_are_pinned(capsys):
     """``dual`` over every chord subset and ``slide`` over every ``--move``/``--along``

@@ -14,13 +14,11 @@ from pdgenus.diagrams import (
     CutOutOfRangeError,
     EmptyCaravanError,
     LabelCountError,
-    MultiCircleDiagram,
     OddLengthError,
     UnknownChordError,
     _class_id,
     caravan,
     enumerate_diagrams,
-    from_map,
     normalize_labels,
     partial_dual_diagram,
     product,
@@ -370,9 +368,10 @@ class TestMapConversion:
     def test_round_trip_exhaustive(self):
         for n in range(1, 5):
             for d in enumerate_diagrams(n):
-                mc = from_map(d.to_map())
-                assert len(mc.circles) == 1
-                assert mc.to_diagram() == d
+                m = d.to_map()
+                assert len(m.vertices()) == 1
+                assert ChordDiagram.from_map(m) == d
+                assert ChordDiagram.from_map(m).to_map() == m
 
     def test_edge_i_is_chord_labels_i(self):
         rng = random.Random(7)
@@ -386,10 +385,14 @@ class TestMapConversion:
     def test_two_vertex_map_gives_two_circles(self):
         m = CombinatorialMap((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2))
         assert m.genus() == 1
-        mc = from_map(m)
-        assert len(mc.circles) == 2
-        assert len(mc.pairing) == 3
-        assert set(mc.side) == {"in"}
+        assert m.vertices() == ((0, 1, 2), (3, 4, 5))
+        assert m.edges == ((0, 3), (1, 4), (2, 5))
+        with pytest.raises(ValueError, match="map has 2 vertices, not one"):
+            ChordDiagram.from_map(m)
+
+    def test_map_without_a_vertex_is_not_a_diagram(self):
+        with pytest.raises(ValueError, match="map has 0 vertices, not one"):
+            ChordDiagram.from_map(P("").to_map())
 
 
 class TestProduct:
@@ -590,22 +593,33 @@ class TestCaravan:
 
 class TestPartialDualDiagram:
     def test_chain_at_end_chord(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        assert len(mc.circles) == 2
-        assert mc.to_map().genus() == 1
-        assert sorted(mc.side) == ["in", "in", "out"]
+        m = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        assert m.vertices() == ((0, 3, 4, 5), (1, 2))
+        assert m.edges == ((0, 2), (1, 4), (3, 5))
+        assert m.genus() == 1
 
     def test_chain_at_middle_chord_is_planar(self):
         # the chord drawn through the middle: dualizing it flattens the surface
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {2})
-        assert len(mc.circles) == 2
-        assert mc.to_map().genus() == 0
+        m = partial_dual_diagram(P("1 2 1 3 2 3"), {2})
+        assert len(m.vertices()) == 2
+        assert m.genus() == 0
+
+    def test_edge_i_is_still_chord_labels_i(self):
+        d = P("5 7 5 9 7 9")
+        m = partial_dual_diagram(d, {7})
+        assert m == d.to_map().partial_dual([d.labels().index(7)])
+        assert [d.word[a] for a, _ in m.edges] == list(d.labels())
 
     def test_empty_subset_is_the_diagram(self):
         d = P("1 2 1 3 2 3")
-        mc = partial_dual_diagram(d, set())
-        assert len(mc.circles) == 1
-        assert mc.to_diagram() == d
+        m = partial_dual_diagram(d, set())
+        assert len(m.vertices()) == 1
+        assert ChordDiagram.from_map(m) == d
+
+    def test_dual_on_two_circles_is_not_a_diagram(self):
+        m = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
+        with pytest.raises(ValueError):
+            ChordDiagram.from_map(m)
 
     def test_unknown_chord_rejected(self):
         with pytest.raises(UnknownChordError):
@@ -617,75 +631,4 @@ class TestPartialDualDiagram:
                 m = d.to_map()
                 for i in range(m.num_edges):
                     twice = m.partial_dual([i]).partial_dual([i])
-                    assert from_map(twice).to_diagram() == d
-
-
-class TestMultiCircleDiagram:
-    def test_invalid_pairing_rejected(self):
-        with pytest.raises(ValueError):
-            MultiCircleDiagram(((0, 1),), ((0, 0),), ("in",))
-
-    def test_side_flags_validated(self):
-        with pytest.raises(ValueError):
-            MultiCircleDiagram(((0, 1),), ((0, 1),), ("sideways",))
-
-    def test_to_map_round_trip(self):
-        for d in enumerate_diagrams(3):
-            mc = from_map(d.to_map())
-            assert mc.to_map() == d.to_map()
-
-    def test_multi_circle_to_diagram_rejected(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        with pytest.raises(ValueError):
-            mc.to_diagram()
-
-    @pytest.mark.parametrize(
-        "circles, pairing, side, message",
-        [
-            (((0, 2),), ((0, 1),), ("in",), "circles must cover half-chord ids 0..2n-1"),
-            (((0, 1),), ((0, 0),), ("in",), "pairing is not a fixed-point-free involution"),
-            (((0, 1, 2, 3),), ((0, 1),), ("in",), "pairing does not match the circle elements"),
-            (((0, 1),), ((0, 1),), ("in", "out"), "one side flag per chord is required"),
-            (((0, 1),), ((0, 1),), ("sideways",), "side flags must be 'in' or 'out'"),
-        ],
-    )
-    def test_each_invalid_field_has_its_message(self, circles, pairing, side, message):
-        with pytest.raises(ValueError, match=message):
-            MultiCircleDiagram(circles, pairing, side)
-
-    def test_repr(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        assert repr(mc) == (
-            "MultiCircleDiagram(circles=((0, 3, 4, 5), (1, 2)), "
-            "pairing=((0, 2), (1, 4), (3, 5)), side=('out', 'in', 'in'))"
-        )
-
-    def test_str_is_its_json(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        assert str(mc) == (
-            '{"circles": [[0, 3, 4, 5], [1, 2]], "pairing": [[0, 2], [1, 4], [3, 5]], '
-            '"side": ["out", "in", "in"]}'
-        )
-        assert mc.to_json() == {
-            "circles": [[0, 3, 4, 5], [1, 2]],
-            "pairing": [[0, 2], [1, 4], [3, 5]],
-            "side": ["out", "in", "in"],
-        }
-
-    def test_equal_diagrams_are_equal_values(self):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        twin = MultiCircleDiagram(
-            ((0, 3, 4, 5), (1, 2)), ((0, 2), (1, 4), (3, 5)), ("out", "in", "in")
-        )
-        assert mc is not twin and mc == twin and hash(mc) == hash(twin)
-        assert len({mc, twin}) == 1
-        flipped = MultiCircleDiagram(mc.circles, mc.pairing, ("in", "in", "in"))
-        assert mc != flipped
-        assert mc != partial_dual_diagram(P("1 2 1 3 2 3"), {2})
-
-    @pytest.mark.parametrize("name", ["circles", "pairing", "side", "extra"])
-    def test_fields_cannot_be_assigned(self, name):
-        mc = partial_dual_diagram(P("1 2 1 3 2 3"), {1})
-        with pytest.raises(AttributeError):
-            setattr(mc, name, ())
-        assert mc.side == ("out", "in", "in")
+                    assert ChordDiagram.from_map(twice) == d

@@ -144,10 +144,21 @@ class TestRationalMatrix:
         assert exact.rows == ({0: Fraction(1, 10), 1: Fraction(1, 10), 2: Fraction(3)},)
 
     def test_out_of_range_column_rejected(self):
-        # {1.5: 1} passed a min/max range check: rank 1 and two nullspace vectors on 2 columns
-        for column in (-1, 2, 1.5, "1", None):
+        for column in (-1, 2):
             with pytest.raises(ValueError):
                 RationalMatrix([{0: 1}, {column: 1}], num_cols=2)
+
+    def test_column_that_is_not_an_int_rejected(self):
+        # {1.5: 1} passed a min/max range check: rank 1 and two nullspace vectors on 2 columns;
+        # {1.0: 1} passed the range set, as 1.0 == 1, and a float was stored in the matrix
+        for column in (1.5, 1.0, "1", None, Fraction(1)):
+            with pytest.raises(TypeError):
+                RationalMatrix([{0: 1}, {column: 1}], num_cols=2)
+
+    def test_bool_column_is_stored_as_an_int(self):
+        m = RationalMatrix([{True: 1, 0: -1}], num_cols=2)
+        assert m.rows == ({1: 1, 0: -1},)
+        assert [type(j) for j in m.rows[0]] == [int, int]
 
     @pytest.mark.parametrize(
         "num_cols, error",

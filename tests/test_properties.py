@@ -14,7 +14,7 @@ from pdgenus.diagrams import (
     ChordDiagram,
     LabelCountError,
     OddLengthError,
-    from_map,
+    normalize_labels,
 )
 from pdgenus.maps import (
     CombinatorialMap,
@@ -88,20 +88,10 @@ def test_canonical_form_is_idempotent(word):
     assert canonical.canonical().word == canonical.word
 
 
-@st.composite
-def maps_and_sides(draw):
-    m = draw(maps())
-    e = m.num_edges
-    return m, tuple(draw(st.lists(st.sampled_from(["in", "out"]), min_size=e, max_size=e)))
-
-
 @deterministic
-@given(maps_and_sides())
-def test_multi_circle_diagram_gives_its_map_back(case):
-    m, side = case
-    mc = from_map(m, side)
-    assert mc.side == side
-    assert mc.to_map() == m
+@given(words(min_order=1))
+def test_a_one_vertex_map_gives_its_diagram_back(word):
+    assert ChordDiagram.from_map(ChordDiagram(word).to_map()).word == normalize_labels(word)
 
 
 # -- malformed input --------------------------------------------------------
