@@ -629,3 +629,31 @@ class TestPartialDualDiagram:
                 for i in range(m.num_edges):
                     twice = m.partial_dual([i]).partial_dual([i])
                     assert ChordDiagram.from_map(twice) == d
+
+
+class TestMultiCircleDiagram:
+    """A diagram on several circles is a map with one vertex per circle."""
+
+    def test_to_map_round_trip(self):
+        for d in enumerate_diagrams(3):
+            labels = d.labels()
+            for mask in range(1 << len(labels)):
+                chords = {label for i, label in enumerate(labels) if mask >> i & 1}
+                m = partial_dual_diagram(d, chords)
+                assert m.partial_dual(mask) == d.to_map()
+
+    def test_multi_circle_to_diagram_rejected(self):
+        seen = set()
+        for d in enumerate_diagrams(3):
+            m = d.to_map()
+            for mask in range(1, 1 << m.num_edges):
+                dual = m.partial_dual(mask)
+                circles = len(dual.vertices())
+                seen.add(circles)
+                if circles > 1:
+                    with pytest.raises(ValueError, match=f"map has {circles} vertices, not one"):
+                        ChordDiagram.from_map(dual)
+                else:
+                    one = ChordDiagram.from_map(dual).to_map()
+                    assert (one.num_edges, one.genus()) == (dual.num_edges, dual.genus())
+        assert seen == {1, 2, 3, 4}
