@@ -177,9 +177,10 @@ def _cmd_poly(args) -> int:
 
 def _cmd_dual(args) -> int:
     (diagram,) = _parse_words(args.diagram)
-    chords = set()
-    if args.chords:
+    try:
         chords = {int(tok) for tok in args.chords.split(",") if tok}
+    except ValueError:
+        raise ValueError("--chords expects comma-separated integer labels")
     m = partial_dual_diagram(diagram, chords)
     # the dual's vertices are its circles; edge i is still chord labels()[i]
     side = ["out" if label in chords else "in" for label in diagram.labels()]

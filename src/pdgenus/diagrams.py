@@ -384,17 +384,17 @@ def _rotation(n: int) -> array:
 def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The class id of every word number of order n and the canonical word of each id.
 
-    The classes are the cycles of ``_rotation(n)``.  Numbers are visited in
-    order, and one without an id starts a class: its cycle is followed
-    around, every member gets the id, and the least member is the
-    canonical word.  Ids are then renumbered in canonical-word order.
-
-    Word x = k * (2n - 1) + j is chord 1, skeleton k's first j letters,
-    chord 1 again, then the rest of the skeleton.  The least member closes
-    chord 1 earliest, as ``_least_rotation`` says of any least rotation, so
-    it has the least gap j; members of equal gap all begin 1, 2, ..., j + 1,
-    1 and compare as their skeletons.  So the least member is found from
-    (j, skeleton) alone, and only it is decoded.
+    The classes are the cycles of ``_rotation(n)``.  Word x = k * (2n - 1) + j
+    is chord 1, skeleton k's first j letters, chord 1 again, then the rest
+    of the skeleton.  Chord 1 of a least rotation is a shortest chord, as
+    ``_least_rotation`` says, so no chord closes between its two ends:
+    those letters are the new labels 2, ..., j + 1, and normalized words
+    whose chord 1 is shortest compare as (gap j, skeleton).  Numbers are
+    visited by gap first, then by skeleton in word order, so the first one
+    met without an id is the least member of its class, the canonical
+    word.  Its cycle is followed around and every member gets the next id;
+    ids thus come out in canonical-word order, and only the least member
+    is decoded.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -402,24 +402,22 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         return (0,), ((),)
     width = 2 * n - 1
     skeletons = list(_numbering(n - 1))
+    by_word = sorted(range(len(skeletons)), key=skeletons.__getitem__)
     rot = _rotation(n)
     ids = array("l", [-1]) * len(rot)
     canonical: list[tuple[int, ...]] = []
-    for start in range(len(rot)):
-        if ids[start] < 0:
-            (least, gap), x = divmod(start, width), start
-            while ids[x] < 0:
-                ids[x] = len(canonical)
-                k, j = divmod(x, width)
-                if j < gap or j == gap and skeletons[k] < skeletons[least]:
-                    least, gap = k, j
-                x = rot[x]
-            s = skeletons[least]
-            canonical.append((1,) + s[:gap] + (1,) + s[gap:])
-    del rot  # before the renumbering builds the id tuple: 16 MB at order 8
-    order = sorted(range(len(canonical)), key=canonical.__getitem__)
-    renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-    return tuple(map(renumber.__getitem__, ids)), tuple(canonical[old] for old in order)
+    for j in range(width):
+        for k in by_word:
+            x = k * width + j
+            if ids[x] < 0:
+                s = skeletons[k]
+                canonical.append((1,) + s[:j] + (1,) + s[j:])
+                while ids[x] < 0:
+                    ids[x] = len(canonical) - 1
+                    x = rot[x]
+    del rot  # before the id tuple is built: 16 MB at order 8
+    ids_of = list(range(len(canonical)))  # one int object per id, shared by its words
+    return tuple(map(ids_of.__getitem__, ids)), tuple(canonical)
 
 
 def _class_id(word: Sequence[Hashable]) -> int:

@@ -423,6 +423,12 @@ class TestDual:
         assert payload["side"] == ["out", "in", "in"]
         assert (payload["genus"], payload["counts"]) == (1, {"v": 2, "e": 3, "f": 1, "c": 1})
 
+    @pytest.mark.parametrize("chords", ["a", "1,x", "1.5"])
+    def test_chords_that_are_not_integers_exit_one(self, capsys, chords):
+        code, out, err = run(capsys, "dual", "1 2 1 2", "--chords", chords)
+        assert (code, out) == (1, "")
+        assert err == "pdgenus: error: --chords expects comma-separated integer labels\n"
+
 
 def test_dual_and_slide_outputs_are_pinned(capsys):
     """``dual`` over every chord subset and ``slide`` over every ``--move``/``--along``

@@ -295,11 +295,16 @@ class TestRotation:
             x = [rot[y] for y in x]
         assert x == list(range(len(rot)))
 
-    def test_classes_are_the_cycles_of_the_rotation(self):
-        ids, canonical = diagrams._classes(5)
-        rot = diagrams._rotation(5)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_are_the_cycles_of_the_rotation(self, n):
+        ids, canonical = diagrams._classes(n)
+        rot = diagrams._rotation(n)
         assert all(ids[rot[x]] == ids[x] for x in range(len(rot)))
         assert sorted(set(ids)) == list(range(len(canonical)))
+
+    def test_class_ids_share_one_int_object_per_class(self):
+        # 902 classes at order 6: ids above 256 are not CPython's cached small ints
+        assert len({id(i) for i in diagrams._classes(6)[0]}) == 902
 
     def test_pinned_classes_of_orders_zero_to_seven(self):
         classes = repr([diagrams._classes(n) for n in range(8)])
