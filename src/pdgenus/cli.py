@@ -24,7 +24,7 @@ VIOLATION_ERROR = 2
 # Highest order that enum, check4t and dims run without --force.  At order 7
 # they take 0.3-0.6 s, 1.3-2.3 s and 1.8-3.4 s, and dims 62.2-62.5 MB peak
 # RSS (fresh interpreters, 10 runs each, shared 2-CPU machine, CPython
-# 3.11); at order 8 check4t takes 25-40 s (5 runs) and 216 MB, and the exact
+# 3.11); at order 8 check4t takes 22-35 s (4 runs) and 183 MB, and the exact
 # quotient grows into hours.
 MAX_ORDER = 7
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import groupby
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .maps import CombinatorialMap
@@ -427,8 +428,8 @@ def _class_id(word: Sequence[Hashable]) -> int:
 
 
 @lru_cache(maxsize=None)
-def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every four-term quadruple of order n, as sorted 4-tuples of class ids.
+def generate_4T_quadruples(n: int) -> tuple[int, ...]:
+    """Every four-term quadruple of order n, as a sorted tuple of distinct packed ints.
 
     The four diagrams agree outside one endpoint of the moving chord,
     which sits in the four slots adjacent to the two endpoints of the
@@ -438,24 +439,32 @@ def generate_4T_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     the alternating sum unchanged; the lesser variant is kept.  Duplicates
     are removed by class id; id i is the diagram ``enumerate_diagrams(n)[i]``.
 
+    Quadruple (a, b, c, d) of class ids is the int
+    ``((a << w | b) << w | c) << w | d``, where w is the bit length of
+    ``len(enumerate_diagrams(n))``; so ints compare as their 4-tuples do,
+    and ``q >> 3 * w`` and ``q >> k * w & (1 << w) - 1`` for k = 2, 1, 0
+    read the ids back.
+
     Read from the partner of the free endpoint, the circle is chord 1 then
     a skeleton of order n - 1, each once; a fixed chord at skeleton
     positions r < s puts the free endpoint in gaps r, r + 1, s and s + 1
     of the skeleton's row of class ids.  Below order 2 there is no fixed
     chord, so the tuple is empty; a negative order raises ``ValueError``.
     """
-    ids = _classes(n)[0]
+    ids, canonical = _classes(n)
+    w = len(canonical).bit_length()
     width = 2 * n - 1
-    keys: set[tuple[int, int, int, int]] = set()
+    keys: list[int] = []
     for k, skeleton in enumerate(_numbering(n - 1) if n else ()):
         row = ids[k * width : (k + 1) * width]
         first: dict[int, int] = {}
         for s, label in enumerate(skeleton):
             r = first.setdefault(label, s)
             if r != s:
-                four = (row[r], row[r + 1], row[s], row[s + 1])
-                keys.add(min(four, four[2:] + four[:2]))
-    return tuple(sorted(keys))
+                ab, cd = row[r] << w | row[r + 1], row[s] << w | row[s + 1]
+                keys.append(ab << 2 * w | cd if ab <= cd else cd << 2 * w | ab)
+    keys.sort()  # duplicates are neighbours: 2 of 945 945 at order 8, so no set
+    return tuple(key for key, _ in groupby(keys))
 
 
 @lru_cache(maxsize=None)

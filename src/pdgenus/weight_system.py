@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagrams import (
     ChordDiagram,
@@ -103,6 +104,14 @@ def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
 SIGNS = (1, -1, 1, -1)
 
 
+def _unpacked(quadruples: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The class ids of each packed order-n quadruple of ``generate_4T_quadruples``, in order."""
+    w = len(enumerate_diagrams(n)).bit_length()
+    mask = (1 << w) - 1
+    for q in quadruples:
+        yield q >> 3 * w, q >> 2 * w & mask, q >> w & mask, q & mask
+
+
 def check_4T(n: int, threads: int = 1) -> dict:
     """Evaluate the genus polynomial's alternating sum on every quadruple of order n.
 
@@ -116,6 +125,7 @@ def check_4T(n: int, threads: int = 1) -> dict:
     a value below 1 raises ``ValueError`` before any work.  The keyword
     remains only for existing callers and may be removed.
     """
+    n = operator.index(n)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     quadruples = generate_4T_quadruples(n)
@@ -130,7 +140,7 @@ def check_4T(n: int, threads: int = 1) -> dict:
 
     # A polynomial only for a violation.
     violations = []
-    for a, b, c, d in quadruples:
+    for a, b, c, d in _unpacked(quadruples, n):
         if values[a] - values[b] + values[c] - values[d]:
             violations.append(
                 {
@@ -152,7 +162,7 @@ def check_4T(n: int, threads: int = 1) -> dict:
 def quadruple_vectors(n: int) -> list[dict[int, int]]:
     """Distinct four-term relation vectors of order n, as sparse rows ``{class id: coefficient}``."""
     vectors: set[tuple[tuple[int, int], ...]] = set()
-    for quad in generate_4T_quadruples(n):
+    for quad in _unpacked(generate_4T_quadruples(n), n):
         row: dict[int, int] = {}
         for sign, i in zip(SIGNS, quad):
             row[i] = row.get(i, 0) + sign
@@ -164,6 +174,7 @@ def quadruple_vectors(n: int) -> list[dict[int, int]]:
 
 def dim_quotient(n: int) -> int:
     """Dimension of the span of order-n diagrams modulo all four-term relations."""
+    n = operator.index(n)
     size = len(enumerate_diagrams(n))
     return size - RationalMatrix(quadruple_vectors(n), size).rank()
 

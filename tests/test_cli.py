@@ -163,7 +163,7 @@ class TestOrderLimit:
 
 
     @pytest.mark.slow
-    def test_order_eight_has_no_violations_within_300_mb(self):
+    def test_order_eight_has_no_violations_within_200_mb(self):
         # the child prints its own peak RSS (KiB on Linux) after the report
         script = (
             "import resource, sys\n"
@@ -179,7 +179,7 @@ class TestOrderLimit:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout == '{"n": 8, "quadruples": 945943, "violations": 0}\n'
-        assert int(child.stderr.split()[-1]) < 300 * 1024
+        assert int(child.stderr.split()[-1]) < 200 * 1024
 
 
 class TestPolyFactorLimit:

@@ -353,6 +353,17 @@ class TestNumbering:
         assert child.returncode == 0, child.stderr
         assert int(child.stdout) < 3 << 19
 
+    def test_order_six_quadruples_peak_under_300_kib_over_the_class_table(self):
+        # one packed int per quadruple: no 4-tuples and no dedup set
+        diagrams._classes(6)
+        tracemalloc.start()
+        try:
+            diagrams.generate_4T_quadruples.__wrapped__(6)  # past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 << 10
+
 
 class TestMapConversion:
     def test_fourth_order3_diagram_is_genus_one(self):

@@ -314,6 +314,14 @@ def _dense_rank(rows):
     return rank
 
 
+def _quadruples(n):
+    """``generate_4T_quadruples(n)`` with each packed int read back as its 4-tuple of class ids."""
+    w = len(enumerate_diagrams(n)).bit_length()
+    return tuple(
+        tuple(q >> k * w & (1 << w) - 1 for k in (3, 2, 1, 0)) for q in generate_4T_quadruples(n)
+    )
+
+
 class TestQuadruples:
     def test_classical_relations_present_at_order_three(self):
         ids = {d.word: i for i, d in enumerate(enumerate_diagrams(3))}
@@ -329,7 +337,7 @@ class TestQuadruples:
 
     def test_degenerate_quadruples_cancel(self):
         diagrams = enumerate_diagrams(2)
-        for quad in generate_4T_quadruples(2):
+        for quad in _quadruples(2):
             d1, d2, d3, d4 = (diagrams[i] for i in quad)
             if d1 == d2 and d3 == d4:
                 g1, g2, g3, g4 = (pd_genus_polynomial(d) for d in (d1, d2, d3, d4))
@@ -338,7 +346,7 @@ class TestQuadruples:
     @staticmethod
     def _assert_matches_oracle(n, count):
         words = [d.word for d in enumerate_diagrams(n)]
-        quadruples = generate_4T_quadruples(n)
+        quadruples = _quadruples(n)
         assert list(quadruples) == sorted(set(quadruples))
         generated = {tuple(words[i] for i in quad) for quad in quadruples}
         assert generated == _oracle_quadruple_keys(n)
@@ -353,10 +361,11 @@ class TestQuadruples:
         self._assert_matches_oracle(5, 420)
 
     @pytest.mark.parametrize(
-        "n, count, digest", [(5, 420, "f7f4f52c50f7a14b"), (6, 4724, "b002e5febd7b2d9a")]
+        "n, count, digest",
+        [(5, 420, "f7f4f52c50f7a14b"), (6, 4724, "b002e5febd7b2d9a"), (7, 62370, "6046ae6309057427")],
     )
     def test_pinned_output(self, n, count, digest):
-        quadruples = generate_4T_quadruples(n)
+        quadruples = _quadruples(n)
         assert len(quadruples) == count
         assert hashlib.sha256(repr(quadruples).encode()).hexdigest()[:16] == digest
 
@@ -399,6 +408,14 @@ class TestCheck4T:
         ).stdout
         assert out.strip() == "False"
 
+    def test_order_is_read_as_an_integer_index(self):
+        assert json.dumps(check_4T(True)) == json.dumps(check_4T(1))
+        assert dim_quotient(True) == dim_quotient(1) == 1
+        for order in ("2", 2.0):
+            for check in (check_4T, dim_quotient):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    check(order)
+
     def test_threads_below_one_rejected_before_any_work(self, monkeypatch):
         calls = []
         for name in ("_gamma_table", "generate_4T_quadruples"):
@@ -440,7 +457,7 @@ class TestCheck4T:
         values = {d.word: IntPolynomial([1, 0, 1] if m else [1]) for d, m in zip(diagrams, marks)}
 
         expected, patterns = [], set()
-        for quad in generate_4T_quadruples(4):
+        for quad in _quadruples(4):
             a, b, c, d = (values[diagrams[i].word] for i in quad)
             residual = a - b + c - d
             if residual:
