@@ -427,6 +427,78 @@ def _class_id(word: Sequence[Hashable]) -> int:
     return _classes(len(r) // 2)[0][_number(r)] if r else 0
 
 
+def _one_vertex_duals(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The circle of each one-vertex partial dual of a normalized word, read from position 0.
+
+    For each nonempty set T of chords (bit l - 1 for label l), the dual's
+    rotation ``sigma_T``, as ``CombinatorialMap.partial_dual`` defines it,
+    steps from an end of a chord in T to the position after its partner,
+    and from any other position to the next.  Its orbit of position 0 is
+    the dual's first vertex; the word is yielded when that orbit is all 2n
+    positions.
+    """
+    size = len(word)
+    bits = [1 << label - 1 for label in word]
+    step = [*range(1, size), 0]  # sigma: the next position around the circle
+    cross = step[:]  # sigma after alpha: the position after the partner
+    first: dict[int, int] = {}
+    for q, label in enumerate(word):
+        p = first.setdefault(label, q)
+        cross[p], cross[q] = step[q], step[p]
+    for t in range(1, 1 << size // 2):
+        h, circle = 0, []
+        while True:
+            circle.append(word[h])
+            h = cross[h] if t & bits[h] else step[h]
+            if not h:
+                break
+        if len(circle) == size:
+            yield tuple(circle)
+
+
+def _class_sources(n: int) -> tuple[tuple[int, ...], ...]:
+    """Where the genus polynomial of each class of order n comes from, by class id.
+
+    The polynomial is multiplicative over connected sums, depends only on
+    the interlace graph, which a mirror image shares, and is the same for
+    every partial dual, since (G^A)^B = G^(A Δ B) (Chmutov, JCTB 2009).
+    Ids are visited in order, and class i gets one source:
+
+    - ``(k1, i1, k2, i2)``: a connected sum, the product of the entries of
+      order k1, id i1 (the interlace component of chord 1) and of order
+      k2, id i2 (the other chords);
+    - ``(j,)`` with j < i: a copy of entry j of this order, a walked class
+      that is the mirror image of class i or has class i or its mirror
+      image among its one-vertex partial duals;
+    - ``()``: class i is walked, and every class that one of its one-vertex
+      partial duals reaches and that has no source yet copies it.
+    """
+    canonical = _classes(n)[1]
+    sources: list[tuple[int, ...] | None] = [None] * len(canonical)
+    for i, word in enumerate(canonical):
+        if sources[i] is not None:
+            continue
+        component = next(_components(_interlace_masks(word)), [])
+        if len(component) < n:
+            bits = sum(1 << c for c in component)
+            parts: tuple[list[int], list[int]] = ([], [])
+            for label in word:
+                parts[bits >> label - 1 & 1].append(label)
+            rest, chord1 = parts
+            sources[i] = (len(component), _class_id(chord1), n - len(component), _class_id(rest))
+            continue
+        mirror = _class_id(word[::-1])
+        if sources[mirror] is not None:
+            sources[i] = sources[mirror] or (mirror,)
+            continue
+        sources[i] = ()
+        for dual in _one_vertex_duals(word):
+            j = _class_id(dual)
+            if sources[j] is None:
+                sources[j] = (i,)
+    return tuple(sources)
+
+
 @lru_cache(maxsize=None)
 def generate_4T_quadruples(n: int) -> tuple[int, ...]:
     """Every four-term quadruple of order n, as a sorted tuple of distinct packed ints.

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 from .diagrams import (
     ChordDiagram,
     _class_id,
+    _class_sources,
     enumerate_diagrams,
     generate_4T_quadruples,
     product,
@@ -89,12 +90,24 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
 
 
 def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
-    """The polynomial of every class of order n, by class id: ``pd_genus_polynomial`` of each.
+    """The polynomial of every class of order n, by class id, from ``_class_sources``.
 
-    Not cached: ``_gamma`` keeps every entry, so a second table is a map of
-    cache hits.
+    The tables of orders 0..n are filled bottom-up, each entry from its
+    source: a product of two lower-order entries, a copy of an earlier
+    entry of the same order, or ``pd_genus_polynomial`` of the class's
+    diagram, the only entries walked.  Not cached.
     """
-    return tuple(map(pd_genus_polynomial, enumerate_diagrams(n)))
+    tables: list[list[IntPolynomial]] = []
+    for k in range(n + 1):
+        table: list[IntPolynomial] = []
+        for diagram, source in zip(enumerate_diagrams(k), _class_sources(k)):
+            if len(source) == 4:
+                k1, i1, k2, i2 = source
+                table.append(tables[k1][i1] * tables[k2][i2])
+            else:
+                table.append(table[source[0]] if source else pd_genus_polynomial(diagram))
+        tables.append(table)
+    return tuple(tables[n])
 
 
 # -- four-term quadruples --------------------------------------------------
@@ -115,11 +128,12 @@ def _unpacked(quadruples: tuple[int, ...], n: int) -> Iterator[tuple[int, int, i
 def check_4T(n: int, threads: int = 1) -> dict:
     """Evaluate the genus polynomial's alternating sum on every quadruple of order n.
 
-    Each class's polynomial is ``pd_genus_polynomial`` of its diagram, read
-    by class id from the order's table (``_gamma_table``) and summed over
-    the quadruples' class ids in this process, each as one exact integer:
-    its value at a power of two wide enough that a sum is zero only for a
-    zero residual.  Returns a report with the quadruple count and all
+    Each class's polynomial is read by class id from the order's table
+    (``_gamma_table``), which walks one class per orbit under one-vertex
+    partial duality and mirror image and multiplies or copies the rest, and
+    is summed over the quadruples' class ids in this process, each as one
+    exact integer: its value at a power of two wide enough that a sum is
+    zero only for a zero residual.  Returns a report with the quadruple count and all
     nonzero residuals; the paper's theorem is that there are none.
     ``threads`` is ignored: any value of at least 1 runs the same loop, and
     a value below 1 raises ``ValueError`` before any work.  The keyword

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -645,6 +647,43 @@ class TestPartialDualDiagram:
                 for i in range(m.num_edges):
                     twice = m.partial_dual([i]).partial_dual([i])
                     assert ChordDiagram.from_map(twice) == d
+
+
+def _one_vertex_dual_ids(d):
+    """Class ids of ``from_map`` of each one-vertex partial dual of d over a nonempty chord set."""
+    ids = Counter()
+    labels = d.labels()
+    for size in range(1, len(labels) + 1):
+        for chords in combinations(labels, size):
+            m = partial_dual_diagram(d, chords)
+            if len(m.vertices()) == 1:
+                ids[_class_id(ChordDiagram.from_map(m).word)] += 1
+    return ids
+
+
+class TestOneVertexDuals:
+    """``_one_vertex_duals`` follows sigma_T from position 0 instead of building each dual."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_duals_read_from_their_maps(self, n):
+        for d in enumerate_diagrams(n):
+            assert Counter(map(_class_id, diagrams._one_vertex_duals(d.word))) == (
+                _one_vertex_dual_ids(d)
+            ), d
+
+    @pytest.mark.slow
+    def test_matches_the_duals_read_from_their_maps_at_order_six(self):
+        for d in enumerate_diagrams(6):
+            assert Counter(map(_class_id, diagrams._one_vertex_duals(d.word))) == (
+                _one_vertex_dual_ids(d)
+            ), d
+
+    def test_each_circle_is_read_from_position_zero(self):
+        # 1 2 1 3 2 3 has two one-vertex duals: T = {1, 2}, then T = {2, 3}
+        assert list(diagrams._one_vertex_duals((1, 2, 1, 3, 2, 3))) == [
+            (1, 3, 2, 1, 2, 3),
+            (1, 2, 3, 2, 1, 3),
+        ]
 
 
 class TestMultiCircleDiagram:

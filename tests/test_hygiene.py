@@ -193,8 +193,9 @@ def test_cli_reads_map_files_only_in_the_bounded_helper():
     "path", [Path(m.__file__) for m in (weight_system, golden, cli)], ids=lambda p: p.stem
 )
 def test_weight_system_leaves_the_word_format_to_diagrams(path):
-    # Of diagrams' private names only the lookup by class id may be imported:
-    # _class_id (the class of a word).
+    # Of diagrams' private names only the lookups by class id may be imported:
+    # _class_id (the class of a word) and _class_sources (where each class's
+    # polynomial comes from, as class ids).
     # The rest of the word format (normalization, numbering, rotation, interlace
     # bitmasks) stays behind ChordDiagram, and bisect is not needed to find a class.
     imports = [
@@ -209,7 +210,7 @@ def test_weight_system_leaves_the_word_format_to_diagrams(path):
         if alias.name.startswith("_")
     }
     modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
-    assert imports and private <= {"_class_id"}
+    assert imports and private <= {"_class_id", "_class_sources"}
     assert names.isdisjoint({"normalize_labels", "bisect"}) and "bisect" not in modules
 
 

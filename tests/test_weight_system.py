@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -10,7 +11,14 @@ from fractions import Fraction
 import pytest
 
 from pdgenus import diagrams, weight_system
-from pdgenus.diagrams import ChordDiagram, caravan, enumerate_diagrams, product
+from pdgenus.diagrams import (
+    ChordDiagram,
+    _class_sources,
+    caravan,
+    enumerate_diagrams,
+    partial_dual_diagram,
+    product,
+)
 from pdgenus.maps import CombinatorialMap
 from pdgenus.polynomials import IntPolynomial, RationalMatrix
 from pdgenus.weight_system import (
@@ -174,14 +182,6 @@ class TestFactorAndMirrorShortcuts:
             pd_genus_polynomial(d)
         assert len(walked) == walks
 
-    @pytest.mark.parametrize("n, walks", WALKS)
-    def test_a_cold_check_4T_walks_only_prime_classes_up_to_reflection(
-        self, n, walks, cold_gamma, monkeypatch
-    ):
-        walked = _count_walks(monkeypatch)
-        assert check_4T(n)["violations"] == 0
-        assert len(walked) == walks
-
     def test_walk_counts_are_running_totals_of_prime_classes_up_to_reflection(self):
         primes = [
             len({min(d, d.mirror()) for d in enumerate_diagrams(n) if len(d.join_decompose()) == 1})
@@ -221,43 +221,116 @@ class TestFactorAndMirrorShortcuts:
         assert check_multiplicativity(2, 2)["violations"] > 0
 
 
+# walks of a cold check_4T of order n: one class per orbit of the prime classes of
+# orders 0..n under mirror image and one-vertex partial duality
+COLD_WALKS = [(4, 9), (5, 19), (6, 57)]
+
+
+@functools.cache
+def _orbits(n):
+    """The number of orbits of order-n prime classes under mirrors and one-vertex partial duals.
+
+    A union-find over the diagrams themselves, joined through ``mirror()``
+    and ``ChordDiagram.from_map`` of each one-vertex ``partial_dual_diagram``.
+    """
+    # the empty diagram has no factor at all, and its class is walked too
+    primes = [d for d in enumerate_diagrams(n) if len(d.join_decompose()) <= 1]
+    parent = {d: d for d in primes}
+
+    def root(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    for d in primes:
+        partners = [d.mirror()]
+        for size in range(1, n + 1):
+            for chords in itertools.combinations(d.labels(), size):
+                m = partial_dual_diagram(d, chords)
+                if len(m.vertices()) == 1:
+                    partners.append(ChordDiagram.from_map(m))
+        for e in partners:
+            parent[root(e)] = root(d)
+    return len({root(d) for d in primes})
+
+
+def _wrong_entries(n):
+    """The classes of order n whose ``_gamma_table`` entry is not their own walk's polynomial."""
+    table = _gamma_table(n)
+    assert len(table) == len(enumerate_diagrams(n))
+    return [
+        d
+        for d, polynomial in zip(enumerate_diagrams(n), table)
+        if polynomial != _genus_distribution(d.to_map())
+    ]
+
+
 class TestGammaTable:
-    """The polynomials of a whole order by class id: ``pd_genus_polynomial`` of each class."""
+    """The polynomials of a whole order by class id, filled from ``_class_sources``.
+
+    Products of lower-order entries, copies of an earlier entry of the same
+    order, and ``pd_genus_polynomial`` of the one class walked per orbit;
+    each entry is checked against the class's own walk.
+    """
 
     @pytest.mark.parametrize("n", range(7))
     def test_every_entry_matches_its_own_walk(self, n):
-        table = _gamma_table(n)
-        assert len(table) == len(enumerate_diagrams(n))
-        for d, polynomial in zip(enumerate_diagrams(n), table):
-            assert polynomial == _genus_distribution(d.to_map()), d
+        assert _wrong_entries(n) == []
 
     @pytest.mark.slow
     def test_every_entry_matches_its_own_walk_at_order_seven(self, cold_gamma):
-        for d, polynomial in zip(enumerate_diagrams(7), _gamma_table(7)):
-            assert polynomial == _genus_distribution(d.to_map()), d
+        assert _wrong_entries(7) == []
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_source_points_back(self, n):
+        sources = _class_sources(n)
+        for i, source in enumerate(sources):
+            if len(source) == 4:  # a connected sum of two classes of lower orders
+                k1, i1, k2, i2 = source
+                assert k1 + k2 == n and 0 < k1 < n
+                assert i1 < len(enumerate_diagrams(k1)) and i2 < len(enumerate_diagrams(k2))
+            elif source:  # a copy of a walked class of this order
+                assert source[0] < i and sources[source[0]] == ()
+
+    @pytest.mark.parametrize("n, walks", COLD_WALKS)
+    def test_a_cold_check_4T_walks_one_class_per_orbit(self, n, walks, cold_gamma, monkeypatch):
+        walked = _count_walks(monkeypatch)
+        assert check_4T(n)["violations"] == 0
+        assert len(walked) == walks
+
+    def test_cold_walk_totals_are_running_totals_of_orbits(self):
+        orbits = [_orbits(n) for n in range(7)]
+        assert orbits == [1, 1, 1, 2, 4, 10, 38]
+        totals = list(itertools.accumulate(orbits))
+        assert [(n, totals[n]) for n, _ in COLD_WALKS] == COLD_WALKS
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda factors: factors[1:],  # one factor dropped
-            lambda factors: factors + factors[:1],  # one factor counted twice
+            lambda k1, i1, k2, i2: (0, 0, k2, i2),  # the factor of chord 1 dropped
+            lambda k1, i1, k2, i2: (k1, i1, k1, i1),  # it counted twice, the rest dropped
         ],
     )
-    def test_a_wrong_factor_is_a_wrong_entry(self, corrupt, cold_gamma, monkeypatch):
-        # A connected sum's entry is the product over its join_decompose factors.
-        decompose = ChordDiagram.join_decompose
+    def test_a_wrong_factor_is_a_wrong_entry(self, corrupt, monkeypatch):
+        # A connected sum's entry is the product of its two factor sources.
+        sources = weight_system._class_sources
+        monkeypatch.setattr(
+            weight_system,
+            "_class_sources",
+            lambda n: tuple(corrupt(*s) if len(s) == 4 else s for s in sources(n)),
+        )
+        assert _wrong_entries(4)
 
-        def corrupted(self):
-            factors = decompose(self)
-            return corrupt(factors) if len(factors) > 1 else factors
+    def test_a_wrong_dual_is_a_wrong_entry(self, monkeypatch):
+        # Every walked class also claims the class whose chords all interlace.
+        duals = diagrams._one_vertex_duals
 
-        monkeypatch.setattr(ChordDiagram, "join_decompose", corrupted)
-        wrong = [
-            d
-            for d, polynomial in zip(enumerate_diagrams(4), _gamma_table(4))
-            if polynomial != _genus_distribution(d.to_map())
-        ]
-        assert wrong
+        def wrong(word):
+            yield from duals(word)
+            yield tuple(range(1, len(word) // 2 + 1)) * 2
+
+        monkeypatch.setattr(diagrams, "_one_vertex_duals", wrong)
+        assert _wrong_entries(5)
 
 
 def _oracle_quadruple_keys(n):
