@@ -22,16 +22,16 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take 0.3-0.6 s, 1.3-2.3 s and 1.8-3.4 s, and dims 62.2-62.5 MB peak
-# RSS (fresh interpreters, 10 runs each, shared 2-CPU machine, CPython
-# 3.11); at order 8 check4t takes 22-35 s (4 runs) and 183 MB, and the exact
+# they take 0.3-0.6 s, 0.4-0.7 s and 1.8-3.4 s, and dims 62 MB peak RSS
+# (fresh interpreters, 10 runs each, shared 2-CPU machine, CPython 3.11);
+# at order 8 check4t takes 6.1-6.5 s (2 runs) and 181 MB, and the exact
 # quotient grows into hours.
 MAX_ORDER = 7
 
 # Most subsets that poly walks: the sum of 2^k over the distinct prime
-# factors, of order k each (a mirror pair, walked once, is counted twice).
-# One prime factor of order 16, 18 or 20 takes 0.45 s, 1.9 s or 8.9 s
-# (2-CPU machine, CPython 3.11), about x4.5 per two orders.
+# factors, of order k each.  One prime factor of order 16, 18 or 20 takes
+# 0.20 s, 0.79-0.80 s or 3.5-3.6 s (2 runs each, 2-CPU machine, CPython
+# 3.11), about x4 per two orders.
 MAX_POLY_SUBSETS = 1 << 20
 
 # Most chords in the diagram words of one command (both factors of a

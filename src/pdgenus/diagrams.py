@@ -89,10 +89,6 @@ class ChordDiagram:
         word = self._canonical_key()
         return self if word == self.word else _canonical_diagram(word)
 
-    def mirror(self) -> ChordDiagram:
-        """The mirror image: the reversed word, in canonical form."""
-        return _canonical_diagram(_least_rotation(self.word[::-1]))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ChordDiagram) and self._canonical_key() == other._canonical_key()
 

@@ -42,13 +42,15 @@ class NotAdjacentError(ValueError):
     """The half-edge to slide is not sigma-adjacent to an end of the target edge."""
 
 
-def _check_permutation(perm: Sequence[int], name: str) -> None:
+def _permutation(perm: Sequence[int], name: str) -> tuple[int, ...]:
+    """``perm`` as plain ints (``True`` is 1), or ``ValueError`` if not a permutation of 0..n-1."""
     n = len(perm)
     seen = [False] * n
     for x in perm:
         if not isinstance(x, int) or not 0 <= x < n or seen[x]:
             raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
         seen[x] = True
+    return tuple(map(int, perm))
 
 
 def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -91,7 +93,6 @@ class CombinatorialMap:
 
     __slots__ = (
         "sigma", "alpha", "edges", "_vertices", "_components", "_face_step", "_edge_bits",
-        "_vertex_masks",
     )
 
     def __init__(self, sigma: Iterable[int], alpha: Iterable[int]) -> None:
@@ -103,8 +104,8 @@ class CombinatorialMap:
             )
         if len(sigma) % 2:
             raise SizeMismatchError("the number of half-edges must be even")
-        _check_permutation(sigma, "sigma")
-        _check_permutation(alpha, "alpha")
+        sigma = _permutation(sigma, "sigma")
+        alpha = _permutation(alpha, "alpha")
         for h, image in enumerate(alpha):
             if image == h:
                 raise FixedPointError(f"alpha fixes half-edge {h}")
@@ -128,12 +129,11 @@ class CombinatorialMap:
                 seen.update(component)
                 components.append(tuple(sorted(component)))
         self._components = tuple(components)
-        # The boundary walks step by sigma∘alpha and test each half-edge's edge
-        # bit; a vertex's edge mask is the sum (the union) of its distinct bits.
+        # The rotation of a partial dual G^A steps by sigma∘alpha at a half-edge
+        # whose edge bit is in A, and by sigma at any other.
         self._face_step = tuple(sigma[a] for a in alpha)
         edge_bits = [1 << i for i in range(len(self.edges))]  # one int per edge, shared by its ends
-        bits = self._edge_bits = tuple(edge_bits[edge] for edge in edge_of)
-        self._vertex_masks = tuple(sum({bits[h] for h in cyc}) for cyc in self._vertices)
+        self._edge_bits = tuple(edge_bits[edge] for edge in edge_of)
 
     # -- basic counting -------------------------------------------------
 
@@ -191,48 +191,39 @@ class CombinatorialMap:
         return mask
 
     def partial_dual(self, subset: EdgeSubset | Iterable[int]) -> CombinatorialMap:
-        """The partial dual relative to an edge subset A.
+        """The partial dual G^A relative to an edge subset A (Chmutov, JCTB 2009).
 
-        The new vertex rotation is read off the boundary walk of the
-        spanning subgraph (V, A): from half-edge h the walk crosses the
-        edge-ribbon when h lies in A (continuing at sigma[alpha[h]]) and
-        merely passes the attachment point otherwise (continuing at
-        sigma[h]).  The walk successor is itself a permutation and is the
-        rotation of the dual; alpha is unchanged.  Whole-subset in one
-        pass; the single-edge decomposition is equivalent and kept as a
-        cross-check in the tests.
+        Its rotation sigma_A steps from half-edge h to sigma[alpha[h]] when
+        h lies on an edge of A and to sigma[h] otherwise; alpha is
+        unchanged.  The single-edge decomposition is equivalent and kept
+        as a cross-check in the tests.
         """
         mask = self.subset_mask(subset)
-        sigma, alpha, bits = self.sigma, self.alpha, self._edge_bits
-        new_sigma = tuple(
-            sigma[alpha[h]] if mask & bits[h] else sigma[h] for h in range(len(sigma))
-        )
-        return CombinatorialMap(new_sigma, alpha)
+        sigma, step, bits = self.sigma, self._face_step, self._edge_bits
+        new_sigma = tuple(step[h] if mask & bits[h] else sigma[h] for h in range(len(sigma)))
+        return CombinatorialMap(new_sigma, self.alpha)
 
     def spanning_boundary_count(self, subset: EdgeSubset | Iterable[int]) -> int:
         """Number of boundary components of the spanning subgraph (V, A).
 
-        Traces the boundary restricted to half-edges of A; a vertex with
-        no A-half-edge is an isolated disc and counts as one boundary
-        circle.  Equals v(partial_dual(A)) but is computed independently.
+        These are the vertices of G^A: the cycles of the rotation sigma_A of
+        ``partial_dual``, counted in one pass over the half-edges without
+        building the dual.  A vertex with no half-edge in A is a cycle of
+        sigma_A, one isolated disc with one boundary circle.  The tests
+        check the count against the faces of (V, A) built as a map of its own.
         """
         mask = self.subset_mask(subset)
         sigma, step, bits = self.sigma, self._face_step, self._edge_bits
         seen = [False] * len(sigma)
         count = 0
-        for start, bit in enumerate(bits):
-            if not mask & bit or seen[start]:
+        for start in range(len(sigma)):
+            if seen[start]:
                 continue
             count += 1
             h = start
             while not seen[h]:
                 seen[h] = True
-                h = step[h]
-                while not mask & bits[h]:
-                    h = sigma[h]
-        for vertex_mask in self._vertex_masks:
-            if not mask & vertex_mask:
-                count += 1
+                h = step[h] if mask & bits[h] else sigma[h]
         return count
 
     def genus_of_partial_dual(self, subset: EdgeSubset | Iterable[int]) -> int:

@@ -57,21 +57,16 @@ def _genus_distribution(m: CombinatorialMap) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _gamma(diagram: ChordDiagram) -> IntPolynomial:
-    """The polynomial of a diagram class, walked only for prime diagrams up to reflection.
+    """The polynomial of a diagram class, walked only for prime diagrams.
 
     The polynomial of a connected sum is the product of its factors'
-    (Gross, Mansour and Tucker, EJC 2020), and it depends only on the
-    interlace graph, which the mirror image shares.  So a connected sum is
-    the product over its factors, a prime diagram whose mirror is the
-    lesser diagram is that mirror, and only the remaining diagrams are
-    walked.  Equal diagrams share one cache entry: one per rotation class.
+    (Gross, Mansour and Tucker, EJC 2020), so a connected sum is the
+    product over its ``join_decompose()`` factors, and only a prime diagram
+    is walked.  Equal diagrams share one cache entry: one per rotation class.
     """
     factors = diagram.join_decompose()
     if len(factors) > 1:
         return math.prod(_gamma(f) for f in factors)
-    mirror = diagram.mirror()
-    if mirror < diagram:
-        return _gamma(mirror)
     return _genus_distribution(diagram.to_map())
 
 
@@ -80,9 +75,9 @@ def pd_genus_polynomial(g: ChordDiagram | CombinatorialMap) -> IntPolynomial:
 
     Each genus comes from two spanning-subgraph boundary counts, without
     building the partial dual; the test suite checks the result against
-    the genera of the partial duals themselves.  A chord diagram is walked
-    only when it is prime and no larger than its mirror image; any other
-    diagram takes the product of its factors' polynomials or its mirror's.
+    the genera of the partial duals themselves.  A chord diagram takes the
+    product of its ``join_decompose()`` factors' polynomials, and only a
+    prime diagram is walked.
     """
     if isinstance(g, ChordDiagram):
         return _gamma(g)
@@ -296,8 +291,9 @@ def _graph_class_key(graph: list[list[int]]) -> tuple[int, ...]:
 def check_intersection_graph_invariance(n: int) -> dict:
     """Group order-n diagrams by interlace-graph isomorphism; gamma must be constant per class.
 
-    ``pd_genus_polynomial`` relies on this invariance for mirror images, so
-    each member's polynomial comes from its own boundary walk.
+    The γ table of ``check_4T`` (``_gamma_table``, through
+    ``diagrams._class_sources``) relies on this invariance for mirror
+    images, so each member's polynomial comes from its own boundary walk.
     """
     classes: dict[tuple[int, ...], list[ChordDiagram]] = {}
     for d in enumerate_diagrams(n):

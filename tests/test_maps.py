@@ -47,6 +47,27 @@ def _edge_of(m):
     return edge_of
 
 
+def _spanning_subgraph_boundaries(m, mask):
+    """The boundary components of (V, A), counted on (V, A) built as a map of its own.
+
+    Each vertex keeps the half-edges of A in its rotation order, renamed
+    0..2|A|-1 in order.  The faces of that map, plus one circle for each
+    vertex with no half-edge in A, are the count: no partial dual is built.
+    """
+    edge_of = _edge_of(m)
+    kept = [h for h in range(m.num_half_edges) if mask >> edge_of[h] & 1]
+    names = {h: i for i, h in enumerate(kept)}
+    sigma = [0] * len(names)
+    bare = 0
+    for cyc in m.vertices():
+        ends = [names[h] for h in cyc if h in names]
+        bare += not ends
+        for a, b in zip(ends, ends[1:] + ends[:1]):
+            sigma[a] = b
+    alpha = [names[m.alpha[h]] for h in kept]
+    return CombinatorialMap(sigma, alpha).counts()[2] + bare
+
+
 class TestValidation:
     def test_single_edge_between_two_vertices(self):
         m = CombinatorialMap((0, 1), (1, 0))
@@ -70,6 +91,16 @@ class TestValidation:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             CombinatorialMap((0, 0), (1, 0))
+
+    def test_bool_half_edges_are_stored_as_ints(self):
+        m = CombinatorialMap([True, False], [True, False])
+        plain = CombinatorialMap([1, 0], [1, 0])
+        assert m == plain
+        assert repr(m) == repr(plain) == "CombinatorialMap(sigma='(0 1)', alpha='(0 1)')"
+        assert m.edges == plain.edges == ((0, 1),)
+        assert all(type(h) is int for h in m.sigma + m.alpha + m.edges[0])
+        with pytest.raises(ValueError, match="sigma is not a permutation"):
+            CombinatorialMap([1.0, 0], [1, 0])
 
 
 class TestCounts:
@@ -206,6 +237,7 @@ class TestSpanningBoundaryCount:
                     edges = [i for i in range(num_edges) if mask >> i & 1]
                     assert m.spanning_boundary_count(mask) == expected
                     assert m.spanning_boundary_count(edges) == expected
+                    assert _spanning_subgraph_boundaries(m, mask) == expected
                     bare_vertices += sum(
                         1 for cyc in m.vertices() if not {edge_of[h] for h in cyc} & set(edges)
                     )
