@@ -386,12 +386,13 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     of the skeleton.  Chord 1 of a least rotation is a shortest chord, as
     ``_least_rotation`` says, so no chord closes between its two ends:
     those letters are the new labels 2, ..., j + 1, and normalized words
-    whose chord 1 is shortest compare as (gap j, skeleton).  Numbers are
-    visited by gap first, then by skeleton in word order, so the first one
-    met without an id is the least member of its class, the canonical
-    word.  Its cycle is followed around and every member gets the next id;
-    ids thus come out in canonical-word order, and only the least member
-    is decoded.
+    whose chord 1 is shortest compare as (gap j, skeleton).  They are j
+    distinct chords other than chord 1, so j <= n - 1.  Numbers of gaps
+    below n are visited by gap first, then by skeleton in word order, so
+    the first one met without an id is the least member of its class, the
+    canonical word.  Its cycle is followed around and every member gets
+    the next id, gaps n and above included; ids thus come out in
+    canonical-word order, and only the least member is decoded.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -403,7 +404,7 @@ def _classes(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     rot = _rotation(n)
     ids = array("l", [-1]) * len(rot)
     canonical: list[tuple[int, ...]] = []
-    for j in range(width):
+    for j in range(n):
         for k in by_word:
             x = k * width + j
             if ids[x] < 0:
@@ -426,12 +427,14 @@ def _class_id(word: Sequence[Hashable]) -> int:
 def _one_vertex_duals(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The circle of each one-vertex partial dual of a normalized word, read from position 0.
 
-    For each nonempty set T of chords (bit l - 1 for label l), the dual's
-    rotation ``sigma_T``, as ``CombinatorialMap.partial_dual`` defines it,
-    steps from an end of a chord in T to the position after its partner,
-    and from any other position to the next.  Its orbit of position 0 is
-    the dual's first vertex; the word is yielded when that orbit is all 2n
-    positions.
+    For each nonempty set T of chords of even size (bit l - 1 for label l),
+    the dual's rotation ``sigma_T``, as ``CombinatorialMap.partial_dual``
+    defines it, steps from an end of a chord in T to the position after its
+    partner, and from any other position to the next.  Its orbit of
+    position 0 is the dual's first vertex; the word is yielded when that
+    orbit is all 2n positions.  An odd T never gives one vertex: (V, T) has
+    1 vertex, |T| edges and f boundary components, 1 - |T| + f = 2 - 2g by
+    Euler's formula, and the dual has f vertices.
     """
     size = len(word)
     bits = [1 << label - 1 for label in word]
@@ -442,6 +445,8 @@ def _one_vertex_duals(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         p = first.setdefault(label, q)
         cross[p], cross[q] = step[q], step[p]
     for t in range(1, 1 << size // 2):
+        if t.bit_count() & 1:
+            continue
         h, circle = 0, []
         while True:
             circle.append(word[h])
@@ -462,7 +467,8 @@ def _class_sources(n: int) -> tuple[tuple[int, ...], ...]:
 
     - ``(k1, i1, k2, i2)``: a connected sum, the product of the entries of
       order k1, id i1 (the interlace component of chord 1) and of order
-      k2, id i2 (the other chords);
+      k2, id i2 (the other chords; for n >= 2, a word ``1 1 ...`` has
+      chord 1 isolated, and i2 is read at skeleton ``word[2:]``'s number);
     - ``(j,)`` with j < i: a copy of entry j of this order, a walked class
       that is the mirror image of class i or has class i or its mirror
       image among its one-vertex partial duals;
@@ -473,6 +479,9 @@ def _class_sources(n: int) -> tuple[tuple[int, ...], ...]:
     sources: list[tuple[int, ...] | None] = [None] * len(canonical)
     for i, word in enumerate(canonical):
         if sources[i] is not None:
+            continue
+        if n > 1 and word[1] == 1:
+            sources[i] = (1, 0, n - 1, _classes(n - 1)[0][_numbering(n - 1)[word[2:]]])
             continue
         component = next(_components(_interlace_masks(word)), [])
         if len(component) < n:

@@ -308,6 +308,14 @@ class TestRotation:
         assert all(ids[rot[x]] == ids[x] for x in range(len(rot)))
         assert sorted(set(ids)) == list(range(len(canonical)))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chord_one_of_a_canonical_word_closes_within_n_letters(self, n):
+        # a shortest chord encloses distinct chords only, at most n - 1 of them, so
+        # _classes meets every least member in the first n gaps
+        for word in (d.word for d in enumerate_diagrams(n)):
+            assert _least_rotation_oracle(word) == word
+            assert word.index(1, 1) <= n, word
+
     def test_class_ids_share_one_int_object_per_class(self):
         # 902 classes at order 6: ids above 256 are not CPython's cached small ints
         assert len({id(i) for i in diagrams._classes(6)[0]}) == 902
@@ -681,6 +689,15 @@ class TestOneVertexDuals:
             assert Counter(map(_class_id, diagrams._one_vertex_duals(d.word))) == (
                 _one_vertex_dual_ids(d)
             ), d
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_an_odd_chord_set_has_a_dual_of_several_circles(self, n):
+        # (V, T) has 1 vertex, |T| edges and f faces, and 1 - |T| + f = 2 - 2g; so
+        # G^T has f vertices with f = 1 + |T| mod 2, and only an even T can give one
+        for d in enumerate_diagrams(n):
+            for size in range(1, n + 1, 2):
+                for chords in combinations(d.labels(), size):
+                    assert len(partial_dual_diagram(d, chords).vertices()) >= 2, (d, chords)
 
     def test_each_circle_is_read_from_position_zero(self):
         # 1 2 1 3 2 3 has two one-vertex duals: T = {1, 2}, then T = {2, 3}

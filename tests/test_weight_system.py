@@ -13,6 +13,7 @@ import pytest
 from pdgenus import diagrams, weight_system
 from pdgenus.diagrams import (
     ChordDiagram,
+    _class_id,
     _class_sources,
     caravan,
     enumerate_diagrams,
@@ -266,6 +267,47 @@ def _wrong_entries(n):
     ]
 
 
+def _general_sources(n):
+    """``_class_sources(n)`` without its shortcuts: no isolated-chord rule, every chord set traced.
+
+    Each connected sum is split at the interlace component of chord 1 and
+    both parts looked up by ``_class_id``; each walked class traces sigma_T
+    from position 0 for all 2^n - 1 nonempty chord sets T.
+    """
+    canonical = diagrams._classes(n)[1]
+    sources = [None] * len(canonical)
+    for i, word in enumerate(canonical):
+        if sources[i] is not None:
+            continue
+        component = next(diagrams._components(diagrams._interlace_masks(word)), [])
+        if len(component) < n:
+            chord1 = [label for label in word if label - 1 in component]
+            rest = [label for label in word if label - 1 not in component]
+            sources[i] = (len(component), _class_id(chord1), n - len(component), _class_id(rest))
+            continue
+        mirror = _class_id(word[::-1])
+        if sources[mirror] is not None:
+            sources[i] = sources[mirror] or (mirror,)
+            continue
+        sources[i] = ()
+        ends = {}
+        for q, label in enumerate(word):
+            ends.setdefault(label, []).append(q)
+        partner = {q: p for p, q in ends.values()} | {p: q for p, q in ends.values()}
+        for t in range(1, 1 << n):
+            h, circle = 0, []
+            while True:
+                circle.append(word[h])
+                h = ((partner[h] if t >> word[h] - 1 & 1 else h) + 1) % len(word)
+                if not h:
+                    break
+            if len(circle) == len(word):
+                j = _class_id(circle)
+                if sources[j] is None:
+                    sources[j] = (i,)
+    return tuple(sources)
+
+
 class TestGammaTable:
     """The polynomials of a whole order by class id, filled from ``_class_sources``.
 
@@ -292,6 +334,28 @@ class TestGammaTable:
                 assert i1 < len(enumerate_diagrams(k1)) and i2 < len(enumerate_diagrams(k2))
             elif source:  # a copy of a walked class of this order
                 assert source[0] < i and sources[source[0]] == ()
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_sources_match_the_general_rules(self, n):
+        assert _class_sources(n) == _general_sources(n)
+
+    @pytest.mark.slow
+    def test_sources_match_the_general_rules_at_order_seven(self):
+        assert _class_sources(7) == _general_sources(7)
+
+    def test_a_wrong_skeleton_of_an_isolated_chord_is_a_wrong_entry(self, monkeypatch):
+        # a class whose canonical word starts 1 1 takes the skeleton word[2:] as its factor
+        sources = weight_system._class_sources
+
+        def wrong(n):
+            canonical = diagrams._classes(n)[1]
+            return tuple(
+                (1, 0, n - 1, 0) if len(s) == 4 and canonical[i][:2] == (1, 1) else s
+                for i, s in enumerate(sources(n))
+            )
+
+        monkeypatch.setattr(weight_system, "_class_sources", wrong)
+        assert _wrong_entries(5)
 
     @pytest.mark.parametrize("n, walks", COLD_WALKS)
     def test_a_cold_check_4T_walks_one_class_per_orbit(self, n, walks, cold_gamma, monkeypatch):
