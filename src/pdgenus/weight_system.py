@@ -22,6 +22,7 @@ from .diagrams import (
     ChordDiagram,
     _class_id,
     _class_sources,
+    _classes,
     enumerate_diagrams,
     generate_4T_quadruples,
     product,
@@ -109,7 +110,6 @@ def _gamma_table(n: int) -> tuple[IntPolynomial, ...]:
 
 # A quadruple (d1, d2, d3, d4) of class ids satisfies the four-term
 # relation when f(d1) - f(d2) + f(d3) - f(d4) = 0.
-SIGNS = (1, -1, 1, -1)
 
 
 def _unpacked(quadruples: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -169,22 +169,54 @@ def check_4T(n: int, threads: int = 1) -> dict:
 
 
 def quadruple_vectors(n: int) -> list[dict[int, int]]:
-    """Distinct four-term relation vectors of order n, as sparse rows ``{class id: coefficient}``."""
-    vectors: set[tuple[tuple[int, int], ...]] = set()
-    for quad in _unpacked(generate_4T_quadruples(n), n):
+    """Four-term relation rows ``{class id: coefficient}`` of order n, distinct up to sign.
+
+    Each packed quadruple (a, b, c, d) of ``generate_4T_quadruples`` is the
+    vector a - b + c - d.  An id that is both a plus and a minus term
+    cancels, and the class count N stands for the cancelled id.  With the
+    plus pair and the minus pair each sorted, the vector is the int
+    ``plus << 2 * w | minus``, where a pair (x, y) is ``x << w | y`` and w
+    is the bit length of N; its negation is ``minus << 2 * w | plus``, and
+    the lesser of the two stands for both.  A vector whose ids all cancel
+    is dropped.  Rows come in increasing order of their ints, one per
+    distinct int: no two rows are equal or negations of each other.
+    """
+    size = len(_classes(n)[1])
+    w = size.bit_length()
+    mask = (1 << w) - 1
+    nothing = size << w | size  # a pair of cancelled ids
+    keys = set()
+    for q in generate_4T_quadruples(n):
+        a, b, c, d = q >> 3 * w, q >> 2 * w & mask, q >> w & mask, q & mask
+        if a == b:
+            a = b = size
+        elif a == d:
+            a = d = size
+        if c == b:
+            c = b = size
+        elif c == d:
+            c = d = size
+        plus = a << w | c if a <= c else c << w | a
+        if plus != nothing:
+            minus = b << w | d if b <= d else d << w | b
+            keys.add(plus << 2 * w | minus if plus <= minus else minus << 2 * w | plus)
+    ids = list(range(size))  # one int object per class id, shared by the rows
+    vectors = []
+    for key in sorted(keys):
         row: dict[int, int] = {}
-        for sign, i in zip(SIGNS, quad):
-            row[i] = row.get(i, 0) + sign
-        key = tuple(sorted((i, c) for i, c in row.items() if c))
-        if key:
-            vectors.add(key)
-    return [dict(key) for key in sorted(vectors)]
+        for shift, sign in ((3 * w, 1), (2 * w, 1), (w, -1), (0, -1)):
+            i = key >> shift & mask
+            if i != size:
+                i = ids[i]
+                row[i] = row.get(i, 0) + sign
+        vectors.append(row)
+    return vectors
 
 
 def dim_quotient(n: int) -> int:
     """Dimension of the span of order-n diagrams modulo all four-term relations."""
     n = operator.index(n)
-    size = len(enumerate_diagrams(n))
+    size = len(_classes(n)[1])
     return size - RationalMatrix(quadruple_vectors(n), size).rank()
 
 
@@ -195,7 +227,7 @@ def _weight_systems(n: int) -> tuple[dict[int, Fraction], ...]:
     Each is a sparse ``{class id: value}`` vector.  The tuple and its dicts
     are shared by every caller: do not mutate them.
     """
-    return tuple(RationalMatrix(quadruple_vectors(n), len(enumerate_diagrams(n))).nullspace())
+    return tuple(RationalMatrix(quadruple_vectors(n), len(_classes(n)[1])).nullspace())
 
 
 @lru_cache(maxsize=8)

@@ -4,6 +4,7 @@ and map file bounded, the word format kept behind ``diagrams``, and a cheap impo
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,7 +196,8 @@ def test_cli_reads_map_files_only_in_the_bounded_helper():
 def test_weight_system_leaves_the_word_format_to_diagrams(path):
     # Of diagrams' private names only the lookups by class id may be imported:
     # _class_id (the class of a word) and _class_sources (where each class's
-    # polynomial comes from, as class ids).
+    # polynomial comes from, as class ids), and the class store _classes, read
+    # only for the class count, as len(_classes(n)[1]).
     # The rest of the word format (normalization, numbering, rotation, interlace
     # bitmasks) stays behind ChordDiagram, and bisect is not needed to find a class.
     imports = [
@@ -210,7 +212,10 @@ def test_weight_system_leaves_the_word_format_to_diagrams(path):
         if alias.name.startswith("_")
     }
     modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
-    assert imports and private <= {"_class_id", "_class_sources"}
+    assert imports and private <= {"_class_id", "_class_sources", "_classes"}
+    tree = _tree(path)
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "_classes"]
+    assert len(uses) == len(re.findall(r"\blen\(_classes\(\w+\)\[1\]\)", ast.unparse(tree)))
     assert names.isdisjoint({"normalize_labels", "bisect"}) and "bisect" not in modules
 
 

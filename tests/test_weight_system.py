@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -460,6 +461,24 @@ def _quadruples(n):
     )
 
 
+def _dict_vectors(n):
+    """The distinct relation vectors a - b + c - d of order n, one dict per quadruple, sorted."""
+    vectors = set()
+    for quad in _quadruples(n):
+        row = {}
+        for sign, i in zip((1, -1, 1, -1), quad):
+            row[i] = row.get(i, 0) + sign
+        key = tuple(sorted((i, c) for i, c in row.items() if c))
+        if key:
+            vectors.add(key)
+    return [dict(key) for key in sorted(vectors)]
+
+
+def _up_to_sign(rows):
+    """Each row as its sorted item tuple or its negation's, whichever is less."""
+    return [min(tuple(sorted(row.items())), tuple(sorted((i, -c) for i, c in row.items()))) for row in rows]
+
+
 class TestQuadruples:
     def test_classical_relations_present_at_order_three(self):
         ids = {d.word: i for i, d in enumerate(enumerate_diagrams(3))}
@@ -506,6 +525,35 @@ class TestQuadruples:
         quadruples = _quadruples(n)
         assert len(quadruples) == count
         assert hashlib.sha256(repr(quadruples).encode()).hexdigest()[:16] == digest
+
+    @staticmethod
+    def _assert_vectors_match_dict_oracle(n):
+        keys = _up_to_sign(quadruple_vectors(n))
+        assert len(set(keys)) == len(keys)  # no row is another row or its negation
+        assert set(keys) == set(_up_to_sign(_dict_vectors(n)))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_vectors_match_the_dict_oracle_up_to_sign(self, n):
+        self._assert_vectors_match_dict_oracle(n)
+
+    @pytest.mark.slow
+    def test_vectors_match_the_dict_oracle_up_to_sign_at_order_seven(self):
+        self._assert_vectors_match_dict_oracle(7)
+
+    def test_vector_counts(self):
+        # the dict oracle keeps a vector and its negation apart: 397, 4 610 and 61 415 at orders 5-7
+        assert [len(quadruple_vectors(n)) for n in range(7)] == [0, 0, 0, 2, 25, 366, 4477]
+
+    def test_vectors_at_order_six_peak_under_two_mib(self):
+        quadruple_vectors(6)  # the class store and the quadruples warm
+        tracemalloc.start()
+        try:
+            quadruple_vectors(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.3 MiB; a dict and an item tuple per quadruple took 2.7 MiB
+        assert peak < 2 * 2**20
 
     def test_orders_below_two_have_no_quadruples(self):
         assert generate_4T_quadruples(0) == generate_4T_quadruples(1) == ()
