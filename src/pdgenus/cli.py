@@ -22,7 +22,7 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 # Highest order that enum, check4t and dims run without --force.  At order 7
-# they take 0.3-0.6 s, 0.4-0.7 s and 1.0-1.1 s, and dims 52 MB peak RSS
+# they take 0.3-0.6 s, 0.4-0.7 s and 1.2-1.8 s, and dims 49 MB peak RSS
 # (fresh interpreters, 10 runs each, shared 2-CPU machine, CPython 3.11);
 # at order 8 check4t takes 5.2-5.8 s (2 runs) and 181 MB, and the exact
 # quotient grows into hours.

@@ -504,7 +504,6 @@ def _class_sources(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sources)
 
 
-@lru_cache(maxsize=None)
 def generate_4T_quadruples(n: int) -> tuple[int, ...]:
     """Every four-term quadruple of order n, as a sorted tuple of distinct packed ints.
 

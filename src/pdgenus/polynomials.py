@@ -128,11 +128,11 @@ def _reduced_echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, 
     rows.  Such columns are merged first, each into the larger one (a
     four-term quotient has many: 853 of the 4 477 rows of order 6).  Only
     the rows that hold a merged column are rewritten in the surviving
-    columns, again while that makes new pairs; the rest are eliminated as
-    the caller's objects, and a copy of a rewritten row reduces to zero.
-    The lesser column of a pair is always a pivot, so a merged column c
-    with root r then gets the RREF row of ``x_c - x_r``: ``{c: 1, r: -1}``
-    if r is free, else r's pivot row with its entry moved from r to c.
+    columns; the rest are eliminated as the caller's objects, and a copy of
+    a rewritten row reduces to zero.  A merged column is below its root and
+    in no eliminated row, so it is a pivot: a merged column c with root r
+    gets the RREF row of ``x_c - x_r``, ``{c: 1, r: -1}`` if r is free, else
+    r's pivot row with its entry moved from r to c.
     """
     rows, merged = _identify([_integral(row) for row in rows if row])
     pivots = _eliminate(rows)
@@ -158,42 +158,36 @@ def _integral(row: Mapping[int, int | Fraction]) -> Mapping[int, int]:
 def _identify(rows: list[Mapping[int, int]]) -> tuple[list[Mapping[int, int]], dict[int, int]]:
     """The rows left once the columns of every row ``{a: x, b: -x}`` are merged.
 
-    Returns those rows and ``{merged column: root}``.  A round merges each
-    pair's columns into the larger one, then rewrites in the roots only the
-    rows that hold a column it merged: lesser column first, its entry
-    positive, each distinct rewritten row once.  Every other row goes on as
-    the caller's own object.  The first round scans all rows for pairs, each
-    later one the rows rewritten before it.  A round that merges nothing
-    ends the pass: pair-free input comes back as it is, with ``{}``.
+    Returns those rows and ``{merged column: root}``.  Each pair's columns
+    are merged into the larger one; then only the rows that hold a merged
+    column are rewritten in the roots: lesser column first, its entry
+    positive, each distinct rewritten row once.  The other rows come first,
+    as the caller's own objects.  A pair that the rewriting makes is left
+    to the elimination.  Pair-free input comes back as it is, with ``{}``.
     """
     merged: dict[int, int] = {}
-    scan = rows
-    while True:
-        moved = set()
-        for row in scan:
-            if len(row) == 2 and sum(row.values()) == 0:
-                a, b = sorted(_root(merged, j) for j in row)
-                if a != b:
-                    moved.add(a)
-                    merged[a] = b
-        if not moved:
-            return rows, merged
-        for col in merged:
-            _root(merged, col)  # so that merged[col] is col's root
-        kept, rewritten = [], {}
-        for row in rows:
-            if moved.isdisjoint(row):
-                kept.append(row)
-                continue
-            sums: dict[int, int] = {}
-            for j, v in row.items():
-                r = merged.get(j, j)
-                sums[r] = sums.get(r, 0) + v
-            key = tuple(sorted(item for item in sums.items() if item[1]))
-            if key:
-                rewritten[key if key[0][1] > 0 else tuple([(j, -v) for j, v in key])] = None
-        scan = list(map(dict, rewritten))
-        rows = kept + scan
+    for row in rows:
+        if len(row) == 2 and sum(row.values()) == 0:
+            a, b = sorted(_root(merged, j) for j in row)
+            if a != b:
+                merged[a] = b
+    if not merged:
+        return rows, merged
+    for col in merged:
+        _root(merged, col)  # so that merged[col] is col's root
+    kept, rewritten = [], {}
+    for row in rows:
+        if merged.keys().isdisjoint(row):
+            kept.append(row)
+            continue
+        sums: dict[int, int] = {}
+        for j, v in row.items():
+            r = merged.get(j, j)
+            sums[r] = sums.get(r, 0) + v
+        key = tuple(sorted(item for item in sums.items() if item[1]))
+        if key:
+            rewritten[key if key[0][1] > 0 else tuple([(j, -v) for j, v in key])] = None
+    return kept + list(map(dict, rewritten)), merged
 
 
 def _root(merged: dict[int, int], col: int) -> int:

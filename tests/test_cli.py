@@ -559,9 +559,24 @@ class TestReportDigests:
             ("check4t 3", "debf245f208d7fec3a55189de732ff053bd72803e85b046d73decc93283bdc3f"),
             ("check4t 4", "9433cff5184f557ffa3bf5d971137b69329ab2d24f58b8b74daf5ada705eabfc"),
             ("check4t 5", "5d18589ee7e7fa3b0d44544b47abd06eeb3e960328c8b675573b08d32b194238"),
+            ("check4t 6", "3c251f1510d85365ad3641ccbb96b9e5600f9ef8d8230aed0bde98a0c22c86de"),
+            ("enum 6", "53918a47aa4ab4c4478826594f9e62bc26acb570caee966c62dfa9790a535705"),
+            ("dims 4", "750f2ebe9adcf735af1af807d02da3d074e85fe1d5e3910b72c698e3f7caf731"),
             ("dims 5", "183a88b2bcc261705791461184d2eb1ad9ccf1c2b1b2cc114c97cf0a43c77044"),
             ("dims 6", "1efeb6b75a1209fb33882386ebcf582a48634124a0c6c79233916c3e316d3bf7"),
             ("table", "7e791abea2a52e9b1b5b3c682cbfb699156411774fe222140111cc359b9b9ae3"),
+            pytest.param(
+                "check4t 7", "43db6fd1ee39520eda26cf1bb38282ceecd881e58f5684f5bfd3f3cc5742cf2c",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                "enum 7", "ec7ed42f649ce4c75de530052702c63101013367d2639e26eb82a68835d5dd4e",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                "dims 7", "ba574c63de87eb48376f6f9e7f7da715447ee4a549bb343139793aecf91f68d6",
+                marks=pytest.mark.slow,
+            ),
         ],
     )
     def test_json_stdout(self, capsys, argv, digest):

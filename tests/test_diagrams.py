@@ -30,6 +30,20 @@ from pdgenus.maps import CombinatorialMap
 P = ChordDiagram.parse
 
 
+def fresh_peak(setup: str, measured: str) -> int:
+    """The tracemalloc peak of the code ``measured``, run after ``setup`` in a fresh interpreter.
+
+    No cache is filled, and no free list primed, by the tests that ran before.
+    """
+    code = f"import tracemalloc\n{setup}\ntracemalloc.start()\n{measured}\nprint(tracemalloc.get_traced_memory()[1])\n"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout)
+
+
 class TestParsing:
     def test_whitespace_tokens(self):
         assert P("1 2 1 2").word == (1, 2, 1, 2)
@@ -350,32 +364,20 @@ class TestNumbering:
         assert list(diagrams._numbering(n - 1).values()) == list(range(len(skeletons)))
 
     def test_cold_order_six_quadruples_and_diagrams_peak_under_1_5_mib(self):
-        # a fresh interpreter, so that no class table or quadruple is cached
-        code = (
-            "import tracemalloc\n"
+        # a fresh interpreter, so that no class table is cached
+        peak = fresh_peak(
             "from pdgenus.diagrams import enumerate_diagrams\n"
-            "from pdgenus.weight_system import generate_4T_quadruples\n"
-            "tracemalloc.start()\n"
-            "generate_4T_quadruples(6)\n"
-            "enumerate_diagrams(6)\n"
-            "print(tracemalloc.get_traced_memory()[1])\n"
+            "from pdgenus.weight_system import generate_4T_quadruples",
+            "generate_4T_quadruples(6)\nenumerate_diagrams(6)",
         )
-        child = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert child.returncode == 0, child.stderr
-        assert int(child.stdout) < 3 << 19
+        assert peak < 3 << 19
 
     def test_order_six_quadruples_peak_under_300_kib_over_the_class_table(self):
         # one packed int per quadruple: no 4-tuples and no dedup set
-        diagrams._classes(6)
-        tracemalloc.start()
-        try:
-            diagrams.generate_4T_quadruples.__wrapped__(6)  # past the cache
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = fresh_peak(
+            "from pdgenus.diagrams import _classes, generate_4T_quadruples\n_classes(6)",
+            "generate_4T_quadruples(6)",
+        )
         assert peak < 300 << 10
 
 

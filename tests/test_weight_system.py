@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +36,7 @@ from pdgenus.weight_system import (
     pd_genus_polynomial,
     quadruple_vectors,
 )
-from test_diagrams import _matchings
+from test_diagrams import _matchings, fresh_peak
 from test_maps import random_map
 
 P = ChordDiagram.parse
@@ -545,13 +544,13 @@ class TestQuadruples:
         assert [len(quadruple_vectors(n)) for n in range(7)] == [0, 0, 0, 2, 25, 366, 4477]
 
     def test_vectors_at_order_six_peak_under_two_mib(self):
-        quadruple_vectors(6)  # the class store and the quadruples warm
-        tracemalloc.start()
-        try:
-            quadruple_vectors(6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the class store warm; the quadruples are made, and freed, inside
+        peak = fresh_peak(
+            "from pdgenus.diagrams import _classes\n"
+            "from pdgenus.weight_system import quadruple_vectors\n"
+            "_classes(6)",
+            "quadruple_vectors(6)",
+        )
         # about 1.3 MiB; a dict and an item tuple per quadruple took 2.7 MiB
         assert peak < 2 * 2**20
 
